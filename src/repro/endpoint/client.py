@@ -62,6 +62,15 @@ def _nt_value_pairs(pairs: Sequence[Tuple[Term, Term]]) -> str:
 #: sameAs-shaped query the aligner issues.
 _SAME_AS_NT = term_to_ntriples(SAME_AS)
 
+#: Result variables read back from every row, built once: the
+#: constructor validates the name on each call.
+_S = Variable("s")
+_P = Variable("p")
+_O = Variable("o")
+_X = Variable("x")
+_Y1 = Variable("y1")
+_Y2 = Variable("y2")
+
 
 def _paging_clause(limit: Optional[int], offset: int) -> str:
     """Render LIMIT/OFFSET in the SPARQL grammar's canonical order.
@@ -106,7 +115,7 @@ class EndpointClient:
         if limit is not None:
             query += f" LIMIT {int(limit)}"
         result = self.endpoint.select(query)
-        return [term for term in result.distinct_column("p") if isinstance(term, IRI)]
+        return [term for term in result.distinct_column(_P) if isinstance(term, IRI)]
 
     def count_facts(self, relation: IRI) -> int:
         """Number of facts of ``relation``."""
@@ -127,8 +136,8 @@ class EndpointClient:
         result = self.endpoint.select(query)
         pairs: List[Tuple[Term, Term]] = []
         for row in result:
-            subject = row.get_term(Variable("s"))
-            obj = row.get_term(Variable("o"))
+            subject = row.get_term(_S)
+            obj = row.get_term(_O)
             if subject is not None and obj is not None:
                 pairs.append((subject, obj))
         return pairs
@@ -139,7 +148,7 @@ class EndpointClient:
         """Distinct subjects of ``relation`` with LIMIT/OFFSET paging."""
         query = f"SELECT DISTINCT ?s WHERE {{ ?s {_nt(relation)} ?o }}"
         query += _paging_clause(limit, offset)
-        return [t for t in self.endpoint.select(query).distinct_column("s") if t is not None]
+        return [t for t in self.endpoint.select(query).distinct_column(_S) if t is not None]
 
     # ------------------------------------------------------------------ #
     # Entity-level queries
@@ -147,7 +156,7 @@ class EndpointClient:
     def objects_of(self, subject: Term, relation: IRI) -> List[Term]:
         """All objects ``o`` with ``relation(subject, o)``."""
         query = f"SELECT ?o WHERE {{ {_nt(subject)} {_nt(relation)} ?o }}"
-        return [t for t in self.endpoint.select(query).column("o") if t is not None]
+        return [t for t in self.endpoint.select(query).column(_O) if t is not None]
 
     def has_fact(self, subject: Term, relation: IRI, obj: Term) -> bool:
         """ASK whether the fact ``relation(subject, obj)`` holds."""
@@ -162,12 +171,12 @@ class EndpointClient:
     def relations_of_subject(self, subject: Term) -> List[IRI]:
         """Distinct relations for which ``subject`` has at least one fact."""
         query = f"SELECT DISTINCT ?p WHERE {{ {_nt(subject)} ?p ?o }}"
-        return [t for t in self.endpoint.select(query).distinct_column("p") if isinstance(t, IRI)]
+        return [t for t in self.endpoint.select(query).distinct_column(_P) if isinstance(t, IRI)]
 
     def relations_between(self, subject: Term, obj: Term) -> List[IRI]:
         """Distinct relations ``p`` such that ``p(subject, obj)`` holds."""
         query = f"SELECT DISTINCT ?p WHERE {{ {_nt(subject)} ?p {_nt(obj)} }}"
-        return [t for t in self.endpoint.select(query).distinct_column("p") if isinstance(t, IRI)]
+        return [t for t in self.endpoint.select(query).distinct_column(_P) if isinstance(t, IRI)]
 
     def relations_between_batch(
         self, pairs: Sequence[Tuple[Term, Term]]
@@ -184,9 +193,9 @@ class EndpointClient:
         result = self.endpoint.select(query)
         matches: List[Tuple[Term, IRI, Term]] = []
         for row in result:
-            subject = row.get_term(Variable("s"))
-            predicate = row.get_term(Variable("p"))
-            obj = row.get_term(Variable("o"))
+            subject = row.get_term(_S)
+            predicate = row.get_term(_P)
+            obj = row.get_term(_O)
             if subject is not None and isinstance(predicate, IRI) and obj is not None:
                 matches.append((subject, predicate, obj))
         return matches
@@ -207,9 +216,9 @@ class EndpointClient:
         result = self.endpoint.select(query)
         facts: List[Tuple[Term, IRI, Term]] = []
         for row in result:
-            subject = row.get_term(Variable("s"))
-            predicate = row.get_term(Variable("p"))
-            obj = row.get_term(Variable("o"))
+            subject = row.get_term(_S)
+            predicate = row.get_term(_P)
+            obj = row.get_term(_O)
             if subject is not None and isinstance(predicate, IRI) and obj is not None:
                 facts.append((subject, predicate, obj))
         return facts
@@ -237,9 +246,9 @@ class EndpointClient:
         result = self.endpoint.select(query)
         samples: List[Tuple[Term, Term, Term]] = []
         for row in result:
-            x = row.get_term(Variable("x"))
-            y1 = row.get_term(Variable("y1"))
-            y2 = row.get_term(Variable("y2"))
+            x = row.get_term(_X)
+            y1 = row.get_term(_Y1)
+            y2 = row.get_term(_Y2)
             if x is not None and y1 is not None and y2 is not None:
                 samples.append((x, y1, y2))
         return samples
@@ -262,8 +271,8 @@ class EndpointClient:
         result = self.endpoint.select(query)
         pairs: List[Tuple[Term, Term]] = []
         for row in result:
-            subject = row.get_term(Variable("s"))
-            obj = row.get_term(Variable("o"))
+            subject = row.get_term(_S)
+            obj = row.get_term(_O)
             if subject is not None and obj is not None:
                 pairs.append((subject, obj))
         return pairs
@@ -279,7 +288,7 @@ class EndpointClient:
             f"{{ {entity_nt} {_SAME_AS_NT} ?x }} UNION {{ ?x {_SAME_AS_NT} {entity_nt} }}"
             " }"
         )
-        return [t for t in self.endpoint.select(query).distinct_column("x") if t is not None]
+        return [t for t in self.endpoint.select(query).distinct_column(_X) if t is not None]
 
     def same_as_for_subjects(self, subjects: Sequence[Term]) -> List[Tuple[Term, Term]]:
         """Batched sameAs lookup for several entities in one query."""
@@ -293,8 +302,8 @@ class EndpointClient:
         result = self.endpoint.select(query)
         pairs: List[Tuple[Term, Term]] = []
         for row in result:
-            subject = row.get_term(Variable("s"))
-            other = row.get_term(Variable("x"))
+            subject = row.get_term(_S)
+            other = row.get_term(_X)
             if subject is not None and other is not None:
                 pairs.append((subject, other))
         return pairs
@@ -319,6 +328,6 @@ class EndpointClient:
         )
         return [
             t
-            for t in self.endpoint.select(query).column("o")
+            for t in self.endpoint.select(query).column(_O)
             if isinstance(t, Literal)
         ]

@@ -14,16 +14,24 @@ exception class name in its JSON error body and the client re-raises it
 One client instance owns one keep-alive connection and is **not**
 thread-safe — concurrent callers each create their own, as the
 benchmark harness does.
+
+Each client keeps a client-side :class:`~repro.endpoint.log.QueryLog`
+(``log``) of the queries it sent and got answers to, so code that reads
+an endpoint's accounting — the aligner's ``query_statistics()`` — runs
+unchanged over the socket.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import re
 import socket
+import time
 from typing import Dict, Optional, Tuple, Union
 from urllib.parse import urlencode, urlsplit
 
+from repro.endpoint.log import QueryLog, QueryRecord
 from repro.errors import (
     EndpointError,
     ParseError,
@@ -48,6 +56,18 @@ _ERROR_TYPES = {
     "ParseError": ParseError,
     "SparqlError": SparqlError,
 }
+
+#: A COUNT aggregate before the WHERE group's opening brace: the client
+#: labels the query's form without parsing it.
+_COUNT_HEAD = re.compile(r"\bCOUNT\s*\(", re.IGNORECASE)
+
+
+def _query_form(query_text: str, result: Union[ResultSet, AskResult]) -> str:
+    """``ASK`` / ``COUNT`` / ``SELECT``, the forms the endpoint log uses."""
+    if isinstance(result, AskResult):
+        return "ASK"
+    head = query_text.split("{", 1)[0]
+    return "COUNT" if _COUNT_HEAD.search(head) else "SELECT"
 
 
 class HttpSparqlClient:
@@ -86,6 +106,7 @@ class HttpSparqlClient:
         self.method = method
         self.client_id = client_id
         self.timeout = timeout
+        self.log = QueryLog()
         self._conn: Optional[http.client.HTTPConnection] = None
 
     # ------------------------------------------------------------------ #
@@ -162,12 +183,27 @@ class HttpSparqlClient:
 
         Raises the same exception types the in-process endpoint raises;
         non-SPARQL responses (negotiation failures, overload) surface as
-        :class:`EndpointError` with the server's message.
+        :class:`EndpointError` with the server's message.  Answered
+        queries are appended to :attr:`log` with their form, row count
+        and round-trip wall time.
         """
+        started = time.perf_counter()
         status, headers, body = self._send_query(query_text, accept=accept)
-        if status == 200:
-            return from_sparql_json(body)
-        raise self._error_from(status, headers, body)
+        if status != 200:
+            raise self._error_from(status, headers, body)
+        result = from_sparql_json(body)
+        rows = len(result) if isinstance(result, ResultSet) else 0
+        self.log.record(
+            QueryRecord(
+                query=query_text,
+                form=_query_form(query_text, result),
+                row_count=rows,
+                truncated=False,
+                virtual_seconds=0.0,
+                duration_seconds=time.perf_counter() - started,
+            )
+        )
+        return result
 
     def query_text(
         self, query_text: str, *, accept: str

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 __all__ = [
     "Span",
@@ -325,18 +325,21 @@ class TraceRecorder:
         return True
 
 
-def count_rows(span: Span, solutions: Iterable) -> Iterator:
+def count_rows(
+    span: Span, solutions: Iterable, size: Optional[Callable[[Any], int]] = None
+) -> Iterator:
     """Wrap a solution stream, closing ``span`` with its row count.
 
     The span's duration runs from stream creation to exhaustion —
     inclusive wall time, downstream pull time included.  Early generator
     closes (a satisfied ASK or LIMIT consumer) finish the span cleanly
     with ``closed_early``; errors mark it ``error`` and propagate.
+    ``size`` counts the rows of one item for streams of row blocks.
     """
     rows = 0
     try:
         for solution in solutions:
-            rows += 1
+            rows += 1 if size is None else size(solution)
             yield solution
     except GeneratorExit:
         span.annotate(rows=rows, closed_early=True)

@@ -11,6 +11,22 @@ aggregates fold solutions into counters without materialising a solution
 list.  Terms are only materialised for FILTER expression evaluation and
 for the rows actually returned.
 
+Columnar finish
+---------------
+An unordered, non-aggregate SELECT whose WHERE group holds only triple
+patterns and whose projection is ``*`` or plain variables — the shape of
+the aligner's paged sample queries — skips per-row solutions entirely
+when the planner and the block kernels are on and *every* plan step
+vectorizes: :func:`repro.sparql.kernels.finish` projects, deduplicates
+(DISTINCT) and pages (OFFSET/LIMIT) the kernels' ID columns, and only the
+surviving rows are decoded into :class:`Binding` objects.  Anything else
+— ORDER BY, aggregates, VALUES / FILTER / OPTIONAL / UNION / subgroups,
+expression projections, a plan step the kernels cannot run, or kernels
+disabled (``REPRO_NO_NUMPY``) — takes the per-row chain: kernel or scalar
+solutions are projected, deduplicated and sliced one row at a time.  Both
+paths return the same rows in the same order; unordered pages decide which
+samples the aligner sees, so that order is part of the contract.
+
 Plan → operator pipeline
 ------------------------
 Each basic graph pattern goes through :func:`repro.sparql.plan.plan_bgp`:
@@ -44,6 +60,8 @@ from __future__ import annotations
 
 import heapq
 import threading
+import weakref
+from contextlib import closing
 from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -138,7 +156,14 @@ class QueryEvaluator:
     ):
         self.store = store
         self._dict = store.dictionary
-        self._expressions = ExpressionEvaluator(exists_callback=self._exists)
+        # A bound method here would put the evaluator, and through it the
+        # store, in a reference cycle that only the cyclic collector frees:
+        # a dropped endpoint's store would outlive it by up to a full
+        # collection.  The weak method keeps the callback from owning it.
+        exists = weakref.WeakMethod(self._exists)
+        self._expressions = ExpressionEvaluator(
+            exists_callback=lambda group, binding: exists()(group, binding)
+        )
         self._use_planner = use_planner
         if use_vectorized is None:
             self._use_vectorized = kernels.kernels_available()
@@ -182,16 +207,27 @@ class QueryEvaluator:
             fast = self._try_fast_count(query)
             if fast is not None:
                 return fast
-
-        solutions = self._evaluate_group(query.where, IdBinding.EMPTY)
-
-        if query.is_aggregate:
-            return self._evaluate_aggregate(query, solutions)
+            return self._evaluate_aggregate(
+                query, self._evaluate_group(query.where, IdBinding.EMPTY)
+            )
 
         if query.select_all:
             variables = query.where.variables()
         else:
             variables = [item.output_variable for item in query.projection]
+
+        plan = None if query.order_by else self._columnar_plan(query)
+        if plan is None:
+            solutions = self._evaluate_group(query.where, IdBinding.EMPTY)
+        else:
+            blocks = kernels.plan_blocks(self, plan)
+            if blocks is not None:
+                return ResultSet(
+                    variables, self._finish_columns(query, variables, plan, blocks)
+                )
+            solutions = self._run_plan(
+                plan, (IdBinding.EMPTY,), root_call=True, single_input=True
+            )
 
         if query.order_by:
             # Ordering needs the full solution sequence; decode eagerly.
@@ -221,6 +257,52 @@ class QueryEvaluator:
             stop = None if query.limit is None else query.offset + query.limit
             projected = islice(projected, query.offset, stop)
         return ResultSet(variables, [row.decode(self._dict) for row in projected])
+
+    def _columnar_plan(self, query: SelectQuery) -> Optional[BGPPlan]:
+        """The BGP plan of a query the columnar finish may answer, else ``None``.
+
+        Called for unordered, non-aggregate SELECTs.  The shape qualifies
+        when the WHERE group holds only triple patterns, every projection
+        item is a plain variable (or ``SELECT *``) and the planner and
+        kernels are on.  Whether every plan step vectorizes is decided by
+        the caller, which reuses this plan for the per-row path otherwise.
+        """
+        if not (self._use_planner and self._use_vectorized):
+            return None
+        patterns = list(query.where.elements)
+        if not patterns or not all(
+            isinstance(element, TriplePatternNode) for element in patterns
+        ):
+            return None
+        if not query.select_all and not all(
+            item.expression is None and item.alias is None and item.variable is not None
+            for item in query.projection
+        ):
+            return None
+        return self._plan_for(query.where, patterns, set(), True)
+
+    def _finish_columns(
+        self,
+        query: SelectQuery,
+        variables: List[Variable],
+        plan: BGPPlan,
+        blocks: Iterator[Tuple],
+    ) -> List[Binding]:
+        """Project, deduplicate and page the kernel blocks in ID columns
+        (:func:`kernels.finish`), decoding only the returned rows."""
+        self._metrics.increment("kernel.vectorized")
+        if self._tracer.active:
+            span = self._tracer.stream_span("kernel", steps=len(plan.steps))
+            if span is not None:
+                # A block is (variables, columns, row count).
+                blocks = obs_trace.count_rows(span, blocks, size=lambda block: block[2])
+        # Closing the abandoned stream ends the kernel span before decoding.
+        with closing(blocks):
+            bound, rows = kernels.finish(
+                blocks, variables, query.distinct, query.offset, query.limit
+            )
+        decode = self._dict.decode
+        return [Binding(dict(zip(bound, map(decode, row)))) for row in rows]
 
     def _evaluate_ask(self, query: AskQuery) -> AskResult:
         for _ in self._evaluate_group(query.where, IdBinding.EMPTY):
@@ -517,55 +599,12 @@ class QueryEvaluator:
                 bound = set(initial)
                 bound |= self._values_bound(values_nodes)
                 plan = self._plan_for(group, patterns, bound, not values_nodes)
-                # Kernel engagement and stage spans are only recorded for
-                # root evaluations (empty input binding): OPTIONAL /
-                # EXISTS probes re-enter here once per solution, where
-                # per-call accounting would swamp both the registry and
-                # the trace tree.
-                root_call = not len(initial)
-                tracer = self._tracer
-                trace_steps = root_call and tracer.active
-                vectorized = None
-                if self._use_vectorized and not values_nodes and root_call:
-                    # Kernels compute complete solutions from the store
-                    # alone, so they only replace the single-empty-input
-                    # case (the top-level group); OPTIONAL / EXISTS inner
-                    # groups carry bindings and stay scalar.
-                    vectorized = kernels.execute(self, plan)
-                    if vectorized is not None:
-                        self._metrics.increment("kernel.vectorized")
-                    else:
-                        self._metrics.increment("kernel.fallback.unsupported-step")
-                elif root_call:
-                    reason = "disabled" if not self._use_vectorized else "bound-input"
-                    self._metrics.increment("kernel.fallback." + reason)
-                if vectorized is not None:
-                    solutions = vectorized
-                    if trace_steps:
-                        span = tracer.stream_span(
-                            "kernel", steps=len(plan.steps)
-                        )
-                        if span is not None:
-                            solutions = obs_trace.count_rows(span, solutions)
-                else:
-                    for step in plan.steps:
-                        if step.operator == MERGE:
-                            solutions = self._merge_join(
-                                solutions, step.pattern, step.merge_variable
-                            )
-                        elif step.operator == HASH:
-                            solutions = self._hash_join(
-                                solutions, step.pattern, step.join_variables
-                            )
-                        else:  # scan / nested: per-solution index lookups
-                            solutions = self._join_pattern(solutions, step.pattern)
-                        if trace_steps:
-                            span = tracer.stream_span(
-                                "step:" + step.operator,
-                                pattern=step.describe(),
-                            )
-                            if span is not None:
-                                solutions = obs_trace.count_rows(span, solutions)
+                solutions = self._run_plan(
+                    plan,
+                    solutions,
+                    root_call=not len(initial),
+                    single_input=not values_nodes,
+                )
             else:
                 for pattern in self._order_by_constants(patterns):
                     solutions = self._join_pattern(solutions, pattern)
@@ -582,6 +621,62 @@ class QueryEvaluator:
             else:  # pragma: no cover - parser prevents this
                 raise SparqlError(f"Unsupported group element: {element!r}")
         return iter(solutions)
+
+    def _run_plan(
+        self,
+        plan: BGPPlan,
+        solutions: Iterable[IdBinding],
+        root_call: bool,
+        single_input: bool,
+    ) -> Iterable[IdBinding]:
+        """Chain one planned BGP's operators onto ``solutions``.
+
+        Kernel engagement and stage spans are only recorded for root
+        evaluations (empty input binding): OPTIONAL / EXISTS probes
+        re-enter once per solution, where per-call accounting would swamp
+        both the registry and the trace tree.
+        """
+        tracer = self._tracer
+        trace_steps = root_call and tracer.active
+        vectorized = None
+        if self._use_vectorized and single_input and root_call:
+            # Kernels compute complete solutions from the store alone, so
+            # they only replace the single-empty-input case (the top-level
+            # group); OPTIONAL / EXISTS inner groups carry bindings and
+            # stay scalar.
+            vectorized = kernels.execute(self, plan)
+            if vectorized is not None:
+                self._metrics.increment("kernel.vectorized")
+            else:
+                self._metrics.increment("kernel.fallback.unsupported-step")
+        elif root_call:
+            reason = "disabled" if not self._use_vectorized else "bound-input"
+            self._metrics.increment("kernel.fallback." + reason)
+        if vectorized is not None:
+            if trace_steps:
+                span = tracer.stream_span("kernel", steps=len(plan.steps))
+                if span is not None:
+                    return obs_trace.count_rows(span, vectorized)
+            return vectorized
+        for step in plan.steps:
+            if step.operator == MERGE:
+                solutions = self._merge_join(
+                    solutions, step.pattern, step.merge_variable
+                )
+            elif step.operator == HASH:
+                solutions = self._hash_join(
+                    solutions, step.pattern, step.join_variables
+                )
+            else:  # scan / nested: per-solution index lookups
+                solutions = self._join_pattern(solutions, step.pattern)
+            if trace_steps:
+                span = tracer.stream_span(
+                    "step:" + step.operator,
+                    pattern=step.describe(),
+                )
+                if span is not None:
+                    solutions = obs_trace.count_rows(span, solutions)
+        return solutions
 
     def _plan_for(
         self,

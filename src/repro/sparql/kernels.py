@@ -30,6 +30,20 @@ nondecreasing stream the planner promised it.  Results are multiset-
 identical to the scalar operators — the differential harnesses pin this
 across warm, cold-mmap and sharded stores.
 
+How the blocks leave the kernels depends on the query:
+
+* **Columnar finish** (:func:`plan_blocks` + :func:`finish`) — when every
+  plan step vectorizes and the evaluator asks for it (an unordered,
+  non-aggregate SELECT over triple patterns only, projecting ``*`` or
+  plain variables), projection, DISTINCT and OFFSET/LIMIT run on the ID
+  columns and only the page's rows come out, as ID tuples.
+* **Per-row emit** (:func:`execute`) — otherwise the blocks become
+  :class:`IdBinding` rows, and any steps past the vectorizable prefix run
+  through the evaluator's scalar operators.
+
+Both orders are the same: blocks in stream order, rows in block order,
+DISTINCT keeping first occurrences.  The pinned Table 1 relies on it.
+
 The kernels are generic over index forms: warm ``array('q')`` columns,
 frozen snapshot ``memoryview`` windows (mmap included) and sharded
 stores (per-shard columns concatenate; subject-range partitioning keeps
@@ -373,13 +387,27 @@ def execute(evaluator, plan: BGPPlan) -> Optional[Iterator[IdBinding]]:
     return _execute(evaluator, steps, prefix)
 
 
-def _execute(evaluator, steps, prefix) -> Iterator[IdBinding]:
+def plan_blocks(evaluator, plan: BGPPlan) -> Optional[Iterator[Tuple]]:
+    """The plan's lazy block stream, or ``None`` unless every step vectorizes.
+
+    The same blocks :func:`execute` emits as rows, for callers that finish
+    the query in ID columns (:func:`finish`).  Same single-input contract
+    as :func:`execute`.
+    """
+    steps = plan.steps
+    if _vectorizable_prefix(steps) != len(steps):
+        return None
+    return _blocks(evaluator, steps)
+
+
+def _blocks(evaluator, steps) -> Iterator[Tuple]:
+    """Blocks of the vectorized ``steps`` (all of them kernel-runnable)."""
     store = evaluator.store
     consts = evaluator._resolve_constants(steps[0].pattern)
     if consts is None:
         return  # a constant the dictionary never saw: provably empty
     blocks = _scan_blocks(store, steps[0].pattern, consts)
-    for step in steps[1:prefix]:
+    for step in steps[1:]:
         consts = evaluator._resolve_constants(step.pattern)
         if consts is None:
             return
@@ -400,7 +428,11 @@ def _execute(evaluator, steps, prefix) -> Iterator[IdBinding]:
             blocks = _cross_blocks(
                 blocks, _pattern_variables(step.pattern), build_cols, build_n
             )
-    solutions: Iterator[IdBinding] = _emit(blocks)
+    yield from blocks
+
+
+def _execute(evaluator, steps, prefix) -> Iterator[IdBinding]:
+    solutions: Iterator[IdBinding] = _emit(_blocks(evaluator, steps[:prefix]))
     for step in steps[prefix:]:
         if step.operator == MERGE:
             solutions = evaluator._merge_join(
@@ -413,3 +445,87 @@ def _execute(evaluator, steps, prefix) -> Iterator[IdBinding]:
         else:
             solutions = evaluator._join_pattern(solutions, step.pattern)
     yield from solutions
+
+
+# --------------------------------------------------------------------- #
+# Columnar finish: projection, DISTINCT and OFFSET/LIMIT over blocks
+# --------------------------------------------------------------------- #
+def finish(
+    blocks, variables, distinct: bool, offset: int, limit: Optional[int]
+) -> Tuple[List[Variable], List[tuple]]:
+    """Project, deduplicate and page a block stream without per-row Python.
+
+    Returns ``(bound, rows)``: the projected ``variables`` the blocks bind
+    (projection order, duplicates dropped) and the surviving page as ID
+    tuples aligned with ``bound``.  A projected variable the plan never
+    binds is left out of ``bound``, so it stays unbound in every row.
+
+    Row order is exactly the per-row path's (emit each block's rows in
+    order, project, keep each row's first occurrence under DISTINCT, then
+    skip ``offset`` and take ``limit``).  DISTINCT dedups each block with
+    ``np.unique(..., return_index=True)`` and sorted first indices, then
+    drops rows an earlier block already counted through a running seen
+    set; OFFSET/LIMIT slice the columns.  The stream is abandoned as soon
+    as ``offset + limit`` rows are counted, which also bounds the seen set.
+    """
+    stop = None if limit is None else offset + limit
+    bound: List[Variable] = []
+    rows: List[tuple] = []
+    if limit == 0:
+        return bound, rows
+    slots: Optional[List[int]] = None
+    seen: set = set()
+    counted = None  # the previous block's rows, not yet in ``seen``
+    taken = 0
+    for block_vars, cols, n in blocks:
+        if slots is None:
+            bound = [v for v in dict.fromkeys(variables) if v in block_vars]
+            slots = [block_vars.index(v) for v in bound]
+        cols = [cols[slot] for slot in slots]
+        if distinct:
+            # Earlier blocks' rows only matter once a later block exists,
+            # so a one-block page never builds Python keys at all.
+            if counted is not None:
+                seen.update(_row_keys(*counted))
+            cols, n = _first_rows(cols, n)
+            if seen:
+                fresh = _np.fromiter(
+                    (key not in seen for key in _row_keys(cols, n)), dtype=bool, count=n
+                )
+                cols = [col[fresh] for col in cols]
+                n = int(_np.count_nonzero(fresh))
+            counted = (cols, n)
+        start = max(0, offset - taken)
+        end = n if stop is None else min(n, stop - taken)
+        if start < end:
+            if cols:
+                rows.extend(zip(*(col[start:end].tolist() for col in cols)))
+            else:
+                rows.extend([()] * (end - start))
+        taken += n
+        if stop is not None and taken >= stop:
+            break
+    return bound, rows
+
+
+def _first_rows(cols: List, n: int) -> Tuple[List, int]:
+    """A block's distinct rows, each at its first occurrence, in order."""
+    if not cols:
+        return cols, min(n, 1)
+    if len(cols) == 1:
+        _, first = _np.unique(cols[0], return_index=True)
+    else:
+        _, first = _np.unique(_np.stack(cols, axis=1), axis=0, return_index=True)
+    if first.size == n:
+        return cols, n
+    first.sort()
+    return [col[first] for col in cols], int(first.size)
+
+
+def _row_keys(cols: List, n: int) -> list:
+    """Hashable per-row keys of a block's projected columns."""
+    if not cols:
+        return [()] * n
+    if len(cols) == 1:
+        return cols[0].tolist()
+    return list(zip(*(col.tolist() for col in cols)))

@@ -417,6 +417,12 @@ class ShardedQueryEvaluator(QueryEvaluator):
         finally:
             self._push_local.spec = None
 
+    def _columnar_plan(self, query: SelectQuery) -> Optional[BGPPlan]:
+        """Never finish in columns: groups must go through
+        :meth:`_evaluate_group`, which owns scatter / ship / global routing
+        and the projection pushdown."""
+        return None
+
     def _fold_pushdown(self, query: SelectQuery) -> Optional[ResultSet]:
         """Aggregate the query with worker-side partial folds, or ``None``.
 

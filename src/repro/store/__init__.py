@@ -19,8 +19,7 @@ The storage substrate has three layers, bottom to top:
    the SPARQL planner's merge joins stream (``sorted_thirds``).  Each
    index can also be **bulk-built from presorted runs**
    (``bulk_extend`` / ``bulk_extend_grouped``) instead of one insertion
-   per entry.  The original Term-keyed :class:`TripleIndex` remains
-   available as a generic utility.
+   per entry.
 
 3. **Store facade** (:mod:`repro.store.triplestore`).
    :class:`TripleStore` keeps the public Term-in/Term-out API unchanged
@@ -56,7 +55,7 @@ store back to the writable form.
 
 from repro.store.dictionary import LazyTermDictionary, TermDictionary
 from repro.store.triplestore import TripleStore
-from repro.store.index import ColumnView, FrozenIdIndex, IdTripleIndex, TripleIndex
+from repro.store.index import ColumnView, FrozenIdIndex, IdTripleIndex
 from repro.store.stats import PredicateStatistics, StoreStatistics
 from repro.store.bulk import load_ntriples_file, load_triples
 
@@ -67,7 +66,6 @@ __all__ = [
     "IdTripleIndex",
     "FrozenIdIndex",
     "ColumnView",
-    "TripleIndex",
     "PredicateStatistics",
     "StoreStatistics",
     "load_triples",

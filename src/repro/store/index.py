@@ -1,6 +1,6 @@
 """Permutation indexes for triples.
 
-Three index families live here:
+Two index families live here:
 
 * :class:`IdTripleIndex` — the store's writable workhorse since the
   dictionary encoding refactor: a two-level nested index over **integer
@@ -16,10 +16,6 @@ Three index families live here:
   (``count_for_key`` / ``third_count`` / ``sorted_thirds`` / ...) without
   materialising any Python container, so the planner and the join
   operators run unchanged on a store that was never rebuilt in memory.
-* :class:`TripleIndex` — the original hash-based index over full
-  :class:`~repro.rdf.terms.Term` objects, kept as a standalone utility (it
-  is generic over any hashable key and still used by external callers and
-  tests).
 
 Three instances with different orderings (SPO, POS, OSP) give the store
 constant-time dispatch for every pattern shape.
@@ -29,8 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from typing import Dict, Iterator, Set, Tuple
-
-from repro.rdf.terms import Term
 
 
 class SortedList(list):
@@ -723,123 +717,3 @@ class FrozenIdIndex:
         group_keys, seconds, bounds, thirds = self.groups()
         index.bulk_extend_grouped(group_keys, seconds, bounds, thirds)
         return index
-
-
-class TripleIndex:
-    """A two-level nested hash index: ``key -> second -> {third}``.
-
-    The original Term-keyed index.  It is generic over any hashable value,
-    so it still serves as a general-purpose three-column index; the store
-    itself now runs on :class:`IdTripleIndex` over dictionary IDs.
-    """
-
-    __slots__ = ("_index", "_size")
-
-    def __init__(self) -> None:
-        self._index: Dict[Term, Dict[Term, Set[Term]]] = {}
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def add(self, key: Term, second: Term, third: Term) -> bool:
-        """Insert an entry.  Returns ``True`` if it was not already present."""
-        by_second = self._index.get(key)
-        if by_second is None:
-            by_second = {}
-            self._index[key] = by_second
-        thirds = by_second.get(second)
-        if thirds is None:
-            thirds = set()
-            by_second[second] = thirds
-        if third in thirds:
-            return False
-        thirds.add(third)
-        self._size += 1
-        return True
-
-    def remove(self, key: Term, second: Term, third: Term) -> bool:
-        """Remove an entry.  Returns ``True`` if it was present."""
-        by_second = self._index.get(key)
-        if by_second is None:
-            return False
-        thirds = by_second.get(second)
-        if thirds is None or third not in thirds:
-            return False
-        thirds.remove(third)
-        self._size -= 1
-        if not thirds:
-            del by_second[second]
-        if not by_second:
-            del self._index[key]
-        return True
-
-    def contains(self, key: Term, second: Term, third: Term) -> bool:
-        """Membership test for a fully specified entry."""
-        by_second = self._index.get(key)
-        if by_second is None:
-            return False
-        thirds = by_second.get(second)
-        return thirds is not None and third in thirds
-
-    def keys(self) -> Iterator[Term]:
-        """Iterate over all distinct keys."""
-        return iter(self._index)
-
-    def seconds(self, key: Term) -> Iterator[Term]:
-        """Iterate over the distinct second terms under ``key``."""
-        by_second = self._index.get(key)
-        if by_second is None:
-            return iter(())
-        return iter(by_second)
-
-    def thirds(self, key: Term, second: Term) -> Iterator[Term]:
-        """Iterate over the third terms under ``(key, second)``."""
-        by_second = self._index.get(key)
-        if by_second is None:
-            return iter(())
-        thirds = by_second.get(second)
-        if thirds is None:
-            return iter(())
-        return iter(thirds)
-
-    def pairs(self, key: Term) -> Iterator[Tuple[Term, Term]]:
-        """Iterate over ``(second, third)`` pairs under ``key``."""
-        by_second = self._index.get(key)
-        if by_second is None:
-            return
-        for second, thirds in by_second.items():
-            for third in thirds:
-                yield second, third
-
-    def triples(self) -> Iterator[Tuple[Term, Term, Term]]:
-        """Iterate over every ``(key, second, third)`` entry."""
-        for key, by_second in self._index.items():
-            for second, thirds in by_second.items():
-                for third in thirds:
-                    yield key, second, third
-
-    def key_count(self) -> int:
-        """Number of distinct keys."""
-        return len(self._index)
-
-    def count_for_key(self, key: Term) -> int:
-        """Number of entries under ``key``."""
-        by_second = self._index.get(key)
-        if by_second is None:
-            return 0
-        return sum(len(thirds) for thirds in by_second.values())
-
-    def second_count_for_key(self, key: Term) -> int:
-        """Number of distinct second terms under ``key``."""
-        by_second = self._index.get(key)
-        return 0 if by_second is None else len(by_second)
-
-    def has_key(self, key: Term) -> bool:
-        """Whether any entry exists under ``key``."""
-        return key in self._index
-
-    def clear(self) -> None:
-        """Remove all entries."""
-        self._index.clear()
-        self._size = 0
