@@ -83,6 +83,13 @@ class ParseCache:
                 self._entries.popitem(last=False)
         return parsed
 
+    def peek(self, query_text: str) -> Optional[Query]:
+        """The cached parse of ``query_text``, or ``None`` — without
+        counting a hit or a miss or touching the LRU order (for callers
+        classifying a query that has already run)."""
+        with self._lock:
+            return self._entries.get(query_text)
+
     def cache_info(self) -> CacheInfo:
         with self._lock:
             return CacheInfo(
@@ -109,6 +116,14 @@ def parse_cache_info() -> CacheInfo:
 def clear_parse_cache() -> None:
     """Drop all cached parsed queries (mainly for tests and benchmarks)."""
     _shared_parse_cache.cache_clear()
+
+
+def query_form(query: Query) -> str:
+    """The access-log form of a parsed query: ``"ASK"``, ``"COUNT"`` (an
+    aggregate SELECT) or ``"SELECT"``."""
+    if not isinstance(query, SelectQuery):
+        return "ASK"
+    return "COUNT" if query.is_aggregate else "SELECT"
 
 
 class SparqlEndpoint:
@@ -228,11 +243,8 @@ class SparqlEndpoint:
 
             truncated = False
             row_count = 0
-            form = "ASK"
+            form = query_form(parsed)
             if isinstance(result, ResultSet):
-                form = "SELECT"
-                if isinstance(parsed, SelectQuery) and parsed.is_aggregate:
-                    form = "COUNT"
                 row_count = len(result)
                 cap = self.policy.max_result_rows
                 if cap is not None and row_count > cap:

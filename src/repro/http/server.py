@@ -46,7 +46,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
-from repro.endpoint.endpoint import SparqlEndpoint
+from repro.endpoint.endpoint import SparqlEndpoint, query_form
 from repro.endpoint.policy import AccessPolicy
 from repro.endpoint.simulation import SimulatedSparqlEndpoint
 from repro.errors import (
@@ -64,6 +64,7 @@ from repro.http.protocol import (
     render_response,
 )
 from repro.obs import metrics as obs_metrics
+from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult, ResultSet
 from repro.sparql.serialize import (
     SPARQL_JSON_MIME,
@@ -650,12 +651,15 @@ class SparqlHttpServer:
             body = to_sparql_tsv(result).encode("utf-8")
             content_type = SPARQL_TSV_MIME
         if cache_key is not None:
+            # The endpoint just parsed the text through this cache; a
+            # concurrent eviction falls back to a fresh parse.
+            parsed = endpoint.parse_cache.peek(query_text) or parse_query(query_text)
+            form = query_form(parsed)
             if isinstance(result, ResultSet):
-                form = "SELECT"
                 row_count = len(result)
                 truncated = bool(result.truncated)
             else:
-                form, row_count, truncated = "ASK", 0, False
+                row_count, truncated = 0, False
             self._cache.put(
                 cache_key, (body, content_type, form, row_count, truncated)
             )

@@ -15,13 +15,17 @@ Protocol (one task queue and one result queue per worker, plus a control
 queue):
 
 * parent → worker: ``("eval", task_id, shard_index, work, initial,
-  fold, project, distinct, trace_ts)`` — evaluate ``work`` (a pickled
-  :class:`~repro.sparql.ast.GroupGraphPattern` or
+  fold, project, distinct, page, trace_ts)`` — evaluate ``work`` (a
+  pickled :class:`~repro.sparql.ast.GroupGraphPattern` or
   :class:`~repro.sparql.distjoin.ShipPlan`) against the shard's local
   evaluator.  With a ``fold`` spec the worker reduces its stream to one
   partial aggregate message; otherwise it streams solution batches,
   optionally restricted to the ``project`` variables (and locally
-  deduplicated when ``distinct``).  ``("ping", task_id)`` — health probe;
+  deduplicated when ``distinct``).  With a ``page`` — this shard's
+  ``(offset, limit)`` slice of a LIMIT/OFFSET page — ``work`` is the
+  :class:`~repro.sparql.ast.SelectQuery` itself and the worker answers
+  just that slice (in ID columns when the kernels run) in one ``page``
+  message.  ``("ping", task_id)`` — health probe;
   ``("stall", task_id, seconds)`` — hold the worker busy (fault-injection
   and cancellation tests); ``("stop",)`` — exit.
 * parent → worker (control queue): ``("cancel", task_id)`` aborts an
@@ -35,7 +39,10 @@ queue):
   window comes from the ``REPRO_RESULT_WINDOW`` environment variable.
 * worker → parent: ``(task_id, "rows", batch)`` (a batch is a list of
   serialized bindings: tuples of ``(variable_name, id_or_term)`` pairs),
-  ``(task_id, "agg", partial)`` (one fold partial, not terminal),
+  ``(task_id, "page", names, rows)`` (a page slice: ID tuples aligned
+  with the variable ``names``; it costs no credit and counts as one row
+  batch in the ledger), ``(task_id, "agg", partial)`` (one fold partial,
+  not terminal),
   ``(task_id, "done", row_count, cancelled, trace)``, ``(task_id,
   "error", type_name, message, traceback, trace)``, ``(task_id, "pong",
   info)``.
@@ -120,6 +127,9 @@ _MAX_BOOT_FAILURES = 3
 
 #: Terminal result-message kinds (the task is finished after them).
 _TERMINAL = ("done", "error", "pong")
+
+#: Result-message kinds that carry solution rows (counted by the ledger).
+_ROW_KINDS = ("rows", "page")
 
 
 # --------------------------------------------------------------------- #
@@ -351,7 +361,7 @@ def shard_worker_main(
             )
             continue
         (_, _, shard_index, work_bytes, initial_payload, fold_bytes, project,
-         distinct, trace_ts) = message
+         distinct, page, trace_ts) = message
         if task_id in cancelled:
             result_queue.put((task_id, "done", 0, True, None))
             continue
@@ -383,6 +393,19 @@ def shard_worker_main(
         try:
             work = cached_payload(work_bytes)
             evaluator = evaluators[shard_index]
+            if page is not None:
+                # Page pushdown: ``work`` is the SELECT query and ``page``
+                # this shard's (offset, limit) slice of it, answered in
+                # one message — in ID columns when the kernels run.
+                bound, rows = evaluator._page_ids(work, *page)
+                result_queue.put(
+                    (task_id, "page", tuple(v.name for v in bound), rows)
+                )
+                result_queue.put(
+                    (task_id, "done", len(rows), False,
+                     span_payload(mode="page", rows=len(rows)))
+                )
+                continue
             memo: Dict[str, Variable] = {}
             initial = decode_binding(initial_payload, memo)
             if isinstance(work, ShipPlan):
@@ -804,23 +827,26 @@ class ProcessShardExecutor:
         with handle.lock:
             stream = handle.inflight.get(task_id)
             if stream is None:  # cancelled and forgotten
-                if kind == "rows":
+                if kind in _ROW_KINDS:
                     with self._stats_lock:
                         self._stats["dropped_batches"] += 1
                 return
             if kind in _TERMINAL:
                 del handle.inflight[task_id]
         with self._stats_lock:
-            if kind == "rows":
+            if kind in _ROW_KINDS:
                 if stream.cancelled:
                     # _cancel already refunded this stream's buffers; a
                     # batch the worker had in the pipe must not re-enter
                     # the gauge (it will never be consumed).
                     self._stats["dropped_batches"] += 1
                     return
-                stream.pending += 1
                 self._stats["row_batches"] += 1
-                self._stats["rows"] += len(message[2])
+                self._stats["rows"] += len(message[-1])
+            if kind == "rows":
+                # Only credit-controlled batches count as buffered: a page
+                # is one message per task, bounded by its LIMIT.
+                stream.pending += 1
                 buffered = self._stats["buffered_batches"] + 1
                 self._stats["buffered_batches"] = buffered
                 if buffered > self._stats["max_buffered_batches"]:
@@ -980,15 +1006,18 @@ class ProcessShardExecutor:
         project: Optional[Sequence[str]],
         distinct: bool,
         traced: bool = False,
+        pages: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> List[_TaskStream]:
         """Fan one eval payload out to every routed shard's worker.
 
-        The work object (group AST or ship plan — broadcast tables
-        included) and the fold spec are each pickled once per query, not
-        once per shard task; workers memoise the unpickled objects per
-        payload bytes.  With ``traced`` each task carries the dispatch
-        monotonic timestamp so workers can measure queue wait and ship a
-        ``worker:exec`` span back on their terminal message.
+        The work object (group AST, ship plan — broadcast tables
+        included — or, for pages, the SELECT query) and the fold spec are
+        each pickled once per query, not once per shard task; workers
+        memoise the unpickled objects per payload bytes.  ``pages`` gives
+        each shard its ``(offset, limit)`` slice.  With ``traced`` each
+        task carries the dispatch monotonic timestamp so workers can
+        measure queue wait and ship a ``worker:exec`` span back on their
+        terminal message.
         """
         payload = encode_binding(initial if initial is not None else IdBinding.EMPTY)
         work_bytes = pickle.dumps(work, protocol=pickle.HIGHEST_PROTOCOL)
@@ -1000,12 +1029,14 @@ class ProcessShardExecutor:
         project_names = None if project is None else tuple(project)
         streams: List[_TaskStream] = []
         try:
-            for shard_index in shard_indices:
+            for position, shard_index in enumerate(shard_indices):
+                page = None if pages is None else pages[position]
                 trace_ts = time.monotonic() if traced else None
                 streams.append(
                     self._dispatch(
                         shard_index, "eval", work_bytes, payload,
-                        fold_bytes, project_names, bool(distinct), trace_ts,
+                        fold_bytes, project_names, bool(distinct), page,
+                        trace_ts,
                     )
                 )
         except BaseException:
@@ -1104,39 +1135,41 @@ class ProcessShardExecutor:
         span = self._merge_span(streams, trace_parent) if traced else None
         merged: Dict = {}
         try:
-            for stream in streams:
-                while True:
-                    try:
-                        item = stream.next_message(timeout=1.0)
-                    except queue.Empty:
-                        continue
-                    kind = item[0]
-                    if kind == "agg":
-                        merge_partial(fold_spec, merged, item[1])
-                    elif kind == "done":
-                        stream.finished = True
-                        self._attach_worker_span(span, item[3])
-                        break
-                    elif kind == "crashed":
-                        stream.finished = True
-                        self._attach_crash_span(span, stream, item[1])
-                        if span is not None:
-                            span.finish(status="error", error=item[1])
-                        raise item[1]
-                    elif kind == "error":
-                        stream.finished = True
-                        self._attach_worker_span(span, item[4])
-                        error = self._rebuild_error(item[1], item[2], item[3])
-                        if span is not None:
-                            span.finish(status="error", error=error)
-                        raise error
+            for _, item in self._replies(streams, span):
+                merge_partial(fold_spec, merged, item[1])
         finally:
-            for stream in streams:
-                if not stream.finished:
-                    self._cancel(stream)
-            if span is not None:
-                span.finish()
+            self._settle(streams, span)
         return merged
+
+    def run_page(
+        self,
+        pages: Sequence[Tuple[int, int, int]],
+        query,
+        trace_parent=None,
+    ) -> List[Tuple[List[Variable], List[tuple]]]:
+        """Fetch one SELECT page from the shards that hold it.
+
+        ``pages`` lists ``(shard, offset, limit)`` slices; each routed
+        worker answers its slice with
+        :meth:`~repro.sparql.evaluate.QueryEvaluator._page_ids` in one
+        ``page`` message, so exactly the page's rows cross the process
+        boundary.  Returns one ``(bound variables, ID rows)`` pair per
+        slice, in ``pages`` order.
+        """
+        traced = trace_parent is not None or recorder().active
+        streams = self._dispatch_eval(
+            [shard for shard, _, _ in pages], query, None, None, None, False,
+            traced=traced,
+            pages=[(offset, limit) for _, offset, limit in pages],
+        )
+        span = self._merge_span(streams, trace_parent) if traced else None
+        parts = []
+        try:
+            for _, item in self._replies(streams, span):
+                parts.append(([Variable(name) for name in item[1]], item[2]))
+        finally:
+            self._settle(streams, span)
+        return parts
 
     def _ack(self, stream: _TaskStream) -> None:
         """Account one consumed rows batch and grant the worker a credit."""
@@ -1150,61 +1183,73 @@ class ProcessShardExecutor:
         except (OSError, ValueError):  # pragma: no cover - dead queue
             pass
 
+    def _replies(self, streams: List[_TaskStream], span=None):
+        """``(stream, message)`` for every non-terminal reply, stream by
+        stream in order.
+
+        A stream ends at its ``done`` message (whose worker span joins
+        ``span``); a crashed or failed task marks ``span`` and raises.
+        """
+        for stream in streams:
+            while True:
+                try:
+                    item = stream.next_message(timeout=1.0)
+                except queue.Empty:
+                    # Defensive: the collector pushes a crash sentinel on
+                    # worker death, so a silent stall here means the task
+                    # is genuinely still running.
+                    continue
+                kind = item[0]
+                if kind == "done":
+                    stream.finished = True
+                    self._attach_worker_span(span, item[3])
+                    break
+                if kind == "crashed":
+                    stream.finished = True
+                    self._attach_crash_span(span, stream, item[1])
+                    if span is not None:
+                        span.finish(status="error", error=item[1])
+                    raise item[1]
+                if kind == "error":
+                    stream.finished = True
+                    self._attach_worker_span(span, item[4])
+                    error = self._rebuild_error(item[1], item[2], item[3])
+                    if span is not None:
+                        span.finish(status="error", error=error)
+                    raise error
+                yield stream, item
+
+    def _settle(self, streams: List[_TaskStream], span=None, **attributes) -> None:
+        """Cancel every unfinished stream and close the merge span."""
+        cancelled = 0
+        for stream in streams:
+            if not stream.finished:
+                self._cancel(stream)
+                cancelled += 1
+        if span is not None:
+            if cancelled:
+                attributes["cancelled_tasks"] = cancelled
+            span.annotate(**attributes)
+            span.finish()
+
     def _gather(
         self, streams: List[_TaskStream], span=None
     ) -> Iterator[IdBinding]:
         memo: Dict[str, Variable] = {}
         rows_out = 0
         try:
-            for stream in streams:
-                while True:
-                    try:
-                        item = stream.next_message(timeout=1.0)
-                    except queue.Empty:
-                        # Defensive: the collector pushes a crash sentinel
-                        # on worker death, so a silent stall here means
-                        # the task is genuinely still running.
-                        continue
-                    kind = item[0]
-                    if kind == "rows":
-                        for row in item[1]:
-                            rows_out += 1
-                            yield decode_binding(row, memo)
-                        # Ack only after the batch is fully consumed: a
-                        # consumer that closes the generator mid-batch
-                        # skips the ack and the finally-cancel refunds
-                        # the worker instead.
-                        self._ack(stream)
-                    elif kind == "done":
-                        stream.finished = True
-                        self._attach_worker_span(span, item[3])
-                        break
-                    elif kind == "crashed":
-                        stream.finished = True
-                        self._attach_crash_span(span, stream, item[1])
-                        if span is not None:
-                            span.finish(status="error", error=item[1])
-                        raise item[1]
-                    elif kind == "error":
-                        stream.finished = True
-                        self._attach_worker_span(span, item[4])
-                        error = self._rebuild_error(item[1], item[2], item[3])
-                        if span is not None:
-                            span.finish(status="error", error=error)
-                        raise error
+            for stream, item in self._replies(streams, span):
+                for row in item[1]:
+                    rows_out += 1
+                    yield decode_binding(row, memo)
+                # Ack only after the batch is fully consumed: a consumer
+                # that closes the generator mid-batch skips the ack and
+                # the finally-cancel refunds the worker instead.
+                self._ack(stream)
         finally:
-            cancelled = 0
-            for stream in streams:
-                if not stream.finished:
-                    self._cancel(stream)
-                    cancelled += 1
-            if span is not None:
-                # GeneratorExit (a satisfied ASK / filled LIMIT page)
-                # lands here too: a clean early close, not an error.
-                span.annotate(rows=rows_out)
-                if cancelled:
-                    span.annotate(cancelled_tasks=cancelled)
-                span.finish()
+            # GeneratorExit (a satisfied ASK / filled LIMIT page) lands
+            # here too: a clean early close, not an error.
+            self._settle(streams, span, rows=rows_out)
 
     # ------------------------------------------------------------------ #
     # Diagnostics / fault injection

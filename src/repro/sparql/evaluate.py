@@ -25,7 +25,9 @@ expression projections, a plan step the kernels cannot run, or kernels
 disabled (``REPRO_NO_NUMPY``) — takes the per-row chain: kernel or scalar
 solutions are projected, deduplicated and sliced one row at a time.  Both
 paths return the same rows in the same order; unordered pages decide which
-samples the aligner sees, so that order is part of the contract.
+samples the aligner sees, so that order is part of the contract.  One
+method, :meth:`QueryEvaluator._page_ids`, owns both paths; sharded pages
+reuse it per shard (see :mod:`repro.sparql.scatter`).
 
 Plan → operator pipeline
 ------------------------
@@ -211,52 +213,98 @@ class QueryEvaluator:
                 query, self._evaluate_group(query.where, IdBinding.EMPTY)
             )
 
-        if query.select_all:
-            variables = query.where.variables()
-        else:
-            variables = [item.output_variable for item in query.projection]
+        variables = self._output_variables(query)
+        if not query.order_by:
+            bound, rows = self._page_ids(query, query.offset, query.limit)
+            return ResultSet(variables, self._decode_rows(bound, rows))
 
-        plan = None if query.order_by else self._columnar_plan(query)
+        # Ordering needs the full solution sequence; decode eagerly.
+        decoded = (
+            self._project(query, solution, variables).decode(self._dict)
+            for solution in self._evaluate_group(query.where, IdBinding.EMPTY)
+        )
+        if query.limit is not None:
+            # ORDER BY ... LIMIT k: a bounded heap selects the top
+            # offset+k rows in one pass instead of materialising and
+            # fully sorting every solution.
+            return ResultSet(variables, self._top_rows(decoded, query))
+        rows = self._order_rows(list(decoded), query)
+        if query.distinct:
+            rows = self._distinct_list(rows)
+        rows = self._slice(rows, query.offset, query.limit)
+        return ResultSet(variables, rows)
+
+    @staticmethod
+    def _output_variables(query: SelectQuery) -> List[Variable]:
+        """The result variables of a non-aggregate SELECT, in output order."""
+        if query.select_all:
+            return query.where.variables()
+        return [item.output_variable for item in query.projection]
+
+    def _page_ids(
+        self, query: SelectQuery, offset: int, limit: Optional[int]
+    ) -> Tuple[List[Variable], List[tuple]]:
+        """The ``offset``/``limit`` page of an unordered SELECT, in ID space.
+
+        Returns ``(bound, rows)``: each row is a tuple aligned with
+        ``bound`` whose values are dictionary IDs, Terms (expression
+        projections, out-of-dictionary VALUES terms) or ``None``
+        (unbound).  ``offset`` and ``limit`` replace the query's own, so a
+        shard can serve its slice of a global page (see
+        :class:`~repro.sparql.scatter.ShardedQueryEvaluator`); the rows are
+        the ones the per-row path yields, in the same order, whichever of
+        the two paths answers:
+
+        * the columnar finish, when :meth:`_columnar_plan` accepts the
+          query and every plan step vectorizes — the kernel blocks are
+          projected, deduplicated and paged by :func:`kernels.finish`;
+        * otherwise per row: solutions are projected, deduplicated and
+          sliced one at a time.
+        """
+        variables = self._output_variables(query)
+        plan = self._columnar_plan(query)
         if plan is None:
             solutions = self._evaluate_group(query.where, IdBinding.EMPTY)
         else:
             blocks = kernels.plan_blocks(self, plan)
             if blocks is not None:
-                return ResultSet(
-                    variables, self._finish_columns(query, variables, plan, blocks)
+                return self._finish_columns(
+                    query, variables, plan, blocks, offset, limit
                 )
             solutions = self._run_plan(
                 plan, (IdBinding.EMPTY,), root_call=True, single_input=True
             )
-
-        if query.order_by:
-            # Ordering needs the full solution sequence; decode eagerly.
-            decoded = (
-                self._project(query, solution, variables).decode(self._dict)
+        if self._plain_projection(query):
+            projected: Iterator[tuple] = (
+                tuple(map(solution.get, variables)) for solution in solutions
+            )
+        else:
+            projected = (
+                tuple(map(self._project(query, solution, variables).get, variables))
                 for solution in solutions
             )
-            if query.limit is not None:
-                # ORDER BY ... LIMIT k: a bounded heap selects the top
-                # offset+k rows in one pass instead of materialising and
-                # fully sorting every solution.
-                return ResultSet(variables, self._top_rows(decoded, query))
-            rows = self._order_rows(list(decoded), query)
-            if query.distinct:
-                rows = self._distinct_list(rows)
-            rows = self._slice(rows, query.offset, query.limit)
-            return ResultSet(variables, rows)
-
-        # Streaming path: project, deduplicate and page in ID space, then
-        # decode only the rows that survive OFFSET/LIMIT.
-        projected: Iterator[IdBinding] = (
-            self._project(query, solution, variables) for solution in solutions
-        )
         if query.distinct:
             projected = self._distinct_stream(projected)
-        if query.offset or query.limit is not None:
-            stop = None if query.limit is None else query.offset + query.limit
-            projected = islice(projected, query.offset, stop)
-        return ResultSet(variables, [row.decode(self._dict) for row in projected])
+        if offset or limit is not None:
+            stop = None if limit is None else offset + limit
+            projected = islice(projected, offset, stop)
+        return variables, list(projected)
+
+    def _decode_rows(
+        self, bound: List[Variable], rows: Iterable[tuple]
+    ) -> List[Binding]:
+        """Term-space :class:`Binding` rows of a :meth:`_page_ids` page."""
+        decode = self._dict.decode
+        return [
+            Binding(
+                {
+                    variable: decode(value) if type(value) is int else value
+                    for variable, value in zip(bound, row)
+                    if value is not None
+                }
+            )
+            for row in rows
+        ]
 
     def _columnar_plan(self, query: SelectQuery) -> Optional[BGPPlan]:
         """The BGP plan of a query the columnar finish may answer, else ``None``.
@@ -274,12 +322,17 @@ class QueryEvaluator:
             isinstance(element, TriplePatternNode) for element in patterns
         ):
             return None
-        if not query.select_all and not all(
-            item.expression is None and item.alias is None and item.variable is not None
-            for item in query.projection
-        ):
+        if not self._plain_projection(query):
             return None
         return self._plan_for(query.where, patterns, set(), True)
+
+    @staticmethod
+    def _plain_projection(query: SelectQuery) -> bool:
+        """Whether the projection is ``*`` or plain variables only."""
+        return query.select_all or all(
+            item.expression is None and item.alias is None and item.variable is not None
+            for item in query.projection
+        )
 
     def _finish_columns(
         self,
@@ -287,9 +340,11 @@ class QueryEvaluator:
         variables: List[Variable],
         plan: BGPPlan,
         blocks: Iterator[Tuple],
-    ) -> List[Binding]:
+        offset: int,
+        limit: Optional[int],
+    ) -> Tuple[List[Variable], List[tuple]]:
         """Project, deduplicate and page the kernel blocks in ID columns
-        (:func:`kernels.finish`), decoding only the returned rows."""
+        (:func:`kernels.finish`)."""
         self._metrics.increment("kernel.vectorized")
         if self._tracer.active:
             span = self._tracer.stream_span("kernel", steps=len(plan.steps))
@@ -298,11 +353,7 @@ class QueryEvaluator:
                 blocks = obs_trace.count_rows(span, blocks, size=lambda block: block[2])
         # Closing the abandoned stream ends the kernel span before decoding.
         with closing(blocks):
-            bound, rows = kernels.finish(
-                blocks, variables, query.distinct, query.offset, query.limit
-            )
-        decode = self._dict.decode
-        return [Binding(dict(zip(bound, map(decode, row)))) for row in rows]
+            return kernels.finish(blocks, variables, query.distinct, offset, limit)
 
     def _evaluate_ask(self, query: AskQuery) -> AskResult:
         for _ in self._evaluate_group(query.where, IdBinding.EMPTY):

@@ -35,14 +35,29 @@ sorted runs concatenate into globally sorted runs the existing
 merge-join operators stream directly.  This path is correct for
 arbitrary queries (cross-subject chains, FILTER NOT EXISTS, ...).
 
-On top of the per-group strategy, COUNT-only aggregate queries over a
-scattered or shipped group push the *fold* down to the shards: each
-shard reduces its stream to a small partial (see
-:mod:`repro.sparql.fold`) and the parent merges O(shards) partials
-instead of streaming O(solutions) rows.  Non-aggregate projections over
-process-backed scatters push the projection down instead, so workers
-ship only the projected columns (deduplicated shard-locally under
-DISTINCT).
+On top of the per-group strategy, a SELECT tries its pushdowns in this
+order before any rows stream:
+
+1. **fast-count** — a single-pattern COUNT answers from index counts;
+2. **fold** — COUNT-only aggregates over a scattered or shipped group
+   push the fold down to the shards: each shard reduces its stream to a
+   small partial (see :mod:`repro.sparql.fold`) and the parent merges
+   O(shards) partials instead of streaming O(solutions) rows;
+3. **page** — an unordered, non-DISTINCT ``LIMIT``/``OFFSET`` page whose
+   WHERE group is one co-partitioned triple pattern with no repeated
+   variable, projected as ``*`` or plain variables.  Its solutions are
+   exactly the pattern's matching triples, so each shard's ``count_ids``
+   is its *exact* row count: shards wholly inside the offset are
+   skipped, and each shard overlapping the page answers only its
+   shard-local ``(offset, limit)`` slice, in ID columns where the kernels
+   run.  The slices concatenate in shard order, which is the streamed
+   page's order.  The counts are the parent store's, so the step stands
+   aside while the store is mid-handover (process workers may still
+   serve the previous snapshot);
+4. **streaming** — everything else streams per-shard solutions; plain
+   projections over process-backed scatters push the projection down,
+   so workers ship only the projected columns (deduplicated
+   shard-locally under DISTINCT).
 
 :meth:`ShardedQueryEvaluator.explain` returns a :class:`ShardedBGPPlan`
 wrapping the ordinary :class:`BGPPlan` with the chosen mode, per planned
@@ -410,6 +425,9 @@ class ShardedQueryEvaluator(QueryEvaluator):
                 self._metrics.increment("scatter.mode.fold")
                 return folded
             return super()._evaluate_select(query)
+        paged = self._page_pushdown(query)
+        if paged is not None:
+            return paged
         if not self._stash_projection(query):
             return super()._evaluate_select(query)
         try:
@@ -476,6 +494,79 @@ class ShardedQueryEvaluator(QueryEvaluator):
                         partial = fold_local(solutions, spec)
                         merge_partial(spec, merged, partial)
         return finalize(query, spec, merged, self._dict)
+
+    def _page_pushdown(self, query: SelectQuery) -> Optional[ResultSet]:
+        """Answer a LIMIT/OFFSET page from the shards that hold it, or ``None``.
+
+        Engages for unordered, non-DISTINCT pages whose WHERE group is one
+        co-partitioned triple pattern without a repeated variable and whose
+        projection is ``*`` or plain variables.  Such a pattern's solutions
+        are exactly its matching triples, so each routed shard's
+        ``count_ids`` is its exact row count: shards wholly inside the
+        offset are skipped, each shard overlapping the page answers its
+        own shard-local ``(offset, limit)`` slice (:meth:`_page_ids`, in
+        ID columns where the kernels run), and the slices concatenate in
+        shard order — the rows, in the order, of the streamed page.
+        """
+        if query.distinct or query.order_by or query.limit is None:
+            return None
+        elements = query.where.elements
+        if len(elements) != 1 or not isinstance(elements[0], TriplePatternNode):
+            return None
+        pattern = elements[0]
+        names = pattern.variables()
+        if len(set(names)) != len(names):
+            return None
+        if not self._plain_projection(query):
+            return None
+        subject = self._scatter_subject(query.where)
+        if subject is None:
+            return None
+        self._require_fresh_snapshot()
+        if getattr(self.store, "_refresh_serving", 0):
+            # Mid-handover the parent store may already be mutated while
+            # the outgoing workers still serve the old snapshot, so the
+            # parent's counts are not the workers' counts.
+            return None
+        # No routed shard when a constant is missing from the dictionary.
+        shards = self._route(query.where, subject, IdBinding.EMPTY)
+        consts = self._resolve_constants(pattern)
+        pages: List[Tuple[int, int, int]] = []
+        skip, wanted = query.offset, query.limit
+        for index in shards:
+            if not wanted:
+                break
+            count = self._locals[index].store.count_ids(*consts)
+            if skip >= count:
+                skip -= count
+                continue
+            take = min(wanted, count - skip)
+            pages.append((index, skip, take))
+            skip, wanted = 0, wanted - take
+        self._note_mode("scatter")
+        self._metrics.increment("scatter.mode.scatter")
+        span = None
+        if pages and self._tracer.active:
+            span = self._tracer.stream_span(
+                "scatter", shards=len(pages), backend=self.backend, paged=True
+            )
+        try:
+            if self.backend == "process" and pages:
+                parts = self._executor.run_page(pages, query, trace_parent=span)
+            else:  # thread backend, or nothing to fetch
+                parts = [
+                    self._locals[index]._page_ids(query, offset, limit)
+                    for index, offset, limit in pages
+                ]
+        except BaseException as error:
+            if span is not None:
+                span.finish(status="error", error=error)
+            raise
+        rows = [row for bound, ids in parts for row in self._decode_rows(bound, ids)]
+        if span is not None:
+            span.annotate(rows=len(rows))
+            span.finish()
+        return ResultSet(self._output_variables(query), rows)
 
     def _stash_projection(self, query: SelectQuery) -> bool:
         """Arm worker-side projection pushdown for this query's top group.

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.endpoint.client import EndpointClient
+from repro.endpoint.log import QueryLog
 from repro.endpoint.policy import AccessPolicy
 from repro.endpoint.simulation import SimulatedSparqlEndpoint
 from repro.errors import (
@@ -322,6 +323,22 @@ class TestPageCache:
             ]
             assert len(records) == 3  # every admitted request is logged
             assert [record.mode for record in records].count("cached") == 2
+
+    def test_cached_count_is_logged_as_count(self):
+        count_born = PREFIX + "SELECT (COUNT(*) AS ?n) WHERE { ?p ex:bornIn ?c }"
+        metrics = MetricsRegistry()
+        with serve_http(store=_people_store(), metrics=metrics) as running:
+            with HttpSparqlClient(running.url) as client:
+                for _ in range(2):
+                    assert client.select(count_born).column("n") == [Literal(3)]
+                assert client.ask(ASK_SINATRA)
+                assert client.ask(ASK_SINATRA)
+            assert metrics.value("http.cache.hits") == 2
+            merged = QueryLog(
+                [record for _, record in running.server.access_log_records()]
+            )
+            assert merged.by_form() == {"COUNT": 2, "ASK": 2}
+            assert merged.by_mode()["cached"] == 2
 
     def test_mutation_invalidates_cached_pages(self):
         store = _people_store()

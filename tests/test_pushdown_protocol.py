@@ -10,6 +10,8 @@ Asserts the wire-level contracts of PR 7 against the executor's
 * a cancelled (LIMIT-satisfied / abandoned) task refunds its buffered
   batches at cancel-enqueue time and frees the worker's credits so the
   next task on that worker starts promptly;
+* a LIMIT/OFFSET page over one pattern dispatches only the shards that
+  overlap it and ships exactly its rows, one ``page`` message per shard;
 * the task ledger balances exactly at quiescence:
   ``dispatched == completed + cancelled + failed + crashed``.
 
@@ -152,6 +154,52 @@ class TestAggregatePushdown:
             # with batch_rows=1 each surviving row is one batch, and there
             # are at most 7 distinct ?a values per shard.
             assert stats["rows"] <= 14
+
+
+class TestPagePushdown:
+    def test_page_dispatches_only_overlapping_shards(self, tmp_path):
+        """A LIMIT/OFFSET page ships exactly its rows from the shards that
+        hold them: one ``page`` message per overlapping shard, no credits."""
+        store = ShardedTripleStore(num_shards=4, triples=_star_triples())
+        query = "SELECT ?a ?s WHERE {{ ?s <http://pushdown.test/p0> ?a }} LIMIT {} OFFSET {}"
+        p0 = store.term_id(EX.p0)
+        counts = [shard.count_ids(None, p0, None) for shard in store.shards]
+        total = sum(counts)
+        assert all(counts) and total == 48
+        with store.serve(tmp_path / "snap", start_method=START_METHOD) as executor:
+            evaluator = ShardedQueryEvaluator(
+                store, backend="process", executor=executor
+            )
+            pages = [
+                (5, 0),  # inside shard 0
+                (counts[1] + 2, counts[0] - 1),  # shards 0, 1 and 2
+                (10, counts[0]),  # starts exactly at shard 1
+                (100, total - 3),  # the last three rows
+                (5, total),  # past the end: nothing dispatched
+                (0, 3),  # LIMIT 0
+            ]
+            for limit, offset in pages:
+                before = executor.protocol_stats()
+                page = evaluator.evaluate(query.format(limit, offset))
+                after = executor.protocol_stats()
+                shipped = min(limit, max(0, total - offset))
+                assert evaluator.last_mode() == "scatter"
+                assert len(page) == shipped
+                ends = [sum(counts[: i + 1]) for i in range(len(counts))]
+                starts = [end - count for end, count in zip(ends, counts)]
+                overlapping = sum(
+                    1
+                    for start, end in zip(starts, ends)
+                    if max(start, offset) < min(end, offset + limit)
+                )
+                delta = {key: after[key] - before[key] for key in after}
+                assert delta["dispatched"] == overlapping, (limit, offset)
+                assert delta["row_batches"] == overlapping, (limit, offset)
+                assert delta["rows"] == shipped, (limit, offset)
+                assert delta["acks"] == 0
+                assert _balanced(after)
+                assert after["buffered_batches"] == 0
+            assert executor.protocol_stats()["cancelled"] == 0
 
 
 class TestFlowControl:

@@ -295,6 +295,63 @@ class TestWaveFaults:
                     == 8 - wave.succeeded - 3
                 )
 
+    def test_sigkill_mid_page_refunds_budget_and_balances_ledger(self, tmp_path):
+        # A LIMIT/OFFSET page over one pattern takes the page step: one
+        # ``page`` task per overlapping shard instead of a row stream.
+        store = _store(num_shards=2)
+        policy = AccessPolicy(
+            max_queries=5, max_result_rows=None, allow_full_scan=True
+        )
+        page_query = (
+            "SELECT ?s ?o WHERE { ?s <http://faults.test/p0> ?o } LIMIT 60"
+        )
+        with sharded_endpoint(
+            store,
+            policy=policy,
+            backend="process",
+            snapshot_dir=tmp_path / "snap",
+            start_method=START_METHOD,
+        ) as endpoint:
+            executor = endpoint.executor
+            expected = endpoint.query(page_query)
+            assert endpoint.log.by_mode() == {"scatter": 1}
+            before = executor.protocol_stats()
+            assert before["rows"] == len(expected) and before["acks"] == 0
+
+            old_pid = _stall_worker(executor, shard_index=0)
+            killer = threading.Timer(0.3, os.kill, (old_pid, signal.SIGKILL))
+            killer.start()
+            with pytest.raises(WorkerCrashError):
+                endpoint.query(page_query)
+            killer.join()
+            # Exact refund: the crashed page spent no slot and left no log.
+            assert endpoint.queries_remaining == 4
+            assert endpoint.log.query_count == 1
+
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                stats = executor.protocol_stats()
+                if stats["crashed"] >= 1 and stats["dispatched"] == (
+                    stats["completed"]
+                    + stats["cancelled"]
+                    + stats["failed"]
+                    + stats["crashed"]
+                ):
+                    break
+                time.sleep(0.05)
+            assert stats["crashed"] >= 1
+            assert stats["dispatched"] == (
+                stats["completed"]
+                + stats["cancelled"]
+                + stats["failed"]
+                + stats["crashed"]
+            ), stats
+            assert stats["buffered_batches"] == 0
+
+            _await_respawn(executor, 0, old_pid)
+            assert endpoint.query(page_query).rows == expected.rows
+            assert endpoint.queries_remaining == 3
+
     def test_trace_survives_worker_sigkill(self, tmp_path):
         """A profiled query crashed by SIGKILL still yields a full trace.
 
