@@ -45,9 +45,14 @@ under test):
 * **Cross-shard join wave** — s–o chains that are never co-partitioned;
   before PR 7 they ran on the single-threaded merged view, now they
   scatter with the cheapest relation broadcast (``xjoin_ship_engaged``
-  counts how many workload queries actually shipped).
-  ``xjoin_proc_vs_thread8`` uses the same core-scaled floor as the
-  star-join waves.
+  counts how many workload queries actually shipped).  Each shard
+  seeds its anchor ``?s <big> ?a`` with the few distinct ``?a`` keys
+  of the broadcast ``?a <small> ?z`` (one index lookup per key) instead
+  of scanning it, so the chains cost in proportion to the small
+  relation.  That saving is pure CPU and the thread backend keeps all
+  of it, while the process backend still pays the IPC per task — so
+  ``xjoin_proc_vs_thread8`` falls below 1 on small machines.  It is
+  reported, not gated.
 
 ``--check COMMITTED.json`` additionally applies the usual relative
 regression guard to every ``*_qps`` metric (must not fall below the

@@ -21,6 +21,26 @@ a parent-coordinated **distributed hash join**:
    ``scatter(anchor) ⋈ tables`` over disjoint anchor partitions equals
    the full join, multiset-exact.
 
+The anchor runs one of two ways on each shard (:func:`anchor_seeds`):
+
+* **seeded** — a semi-join reduction.  The first broadcast table always
+  shares variables with the anchor; its distinct join keys are the only
+  anchor solutions that can survive the probe.  When a shard has fewer
+  keys than its cheapest anchor pattern has rows, the anchor runs over
+  one input binding per key — the bound-input evaluation OPTIONAL and
+  EXISTS re-entries use, planned once for all keys — so the planner
+  picks index lookups instead of a scan.  ``s:e s:p ?m . ?m s:q ?o``
+  then costs a handful of lookups on each shard instead of a scan of
+  ``?m s:q ?o``;
+* **scanned** — otherwise the anchor streams in full, as before.
+
+Both sides of the choice are exact counts (the table's key count and
+the shard's own index count), so no tuning constant is involved.  The
+sharded evaluator adds **key-owner routing** on top: when the partition
+variable is one of the first table's join variables, only the shards
+owning those keys are dispatched, and an empty broadcast table
+dispatches nothing (see :mod:`repro.sparql.scatter`).
+
 Shipping only engages when the broadcast side is small: the candidate
 with the cheapest total broadcast rows wins, and a candidate above
 :data:`DEFAULT_BROADCAST_LIMIT` rows (override with the
@@ -37,7 +57,7 @@ from repro.obs import config as _config
 from repro.sparql import kernels
 from repro.sparql.ast import GroupGraphPattern, TriplePatternNode
 from repro.sparql.bindings import IdBinding, Variable
-from repro.sparql.plan import resolve_pattern_ids
+from repro.sparql.plan import plan_context, resolve_pattern_ids
 
 #: Largest total broadcast side (rows across all shipped patterns) a ship
 #: plan may carry; above this, the merged-view fallback is cheaper than
@@ -130,7 +150,7 @@ class ShipPlan:
     cross each worker's queue exactly once.
     """
 
-    __slots__ = ("partition_variable", "anchor", "tables", "shipped")
+    __slots__ = ("partition_variable", "anchor", "tables", "shipped", "_owners")
 
     def __init__(
         self,
@@ -143,12 +163,32 @@ class ShipPlan:
         self.anchor = anchor
         self.tables = tables
         self.shipped = shipped
+        self._owners = None
 
     def __getstate__(self):
         return (self.partition_variable, self.anchor, self.tables, self.shipped)
 
     def __setstate__(self, state):
         self.partition_variable, self.anchor, self.tables, self.shipped = state
+        self._owners = None
+
+    def key_owners(self, owner_of) -> Optional[Tuple[int, ...]]:
+        """The shards owning the seed keys, or ``None`` if keys do not route.
+
+        Seed keys route when the partition variable is one of the first
+        table's join variables: only the shards ``owner_of(subject_id)``
+        names for those key values can produce a surviving anchor
+        solution.  Computed once per process, like the probe index.
+        """
+        cached = self._owners
+        if cached is None:
+            owners = None
+            table = self.tables[0] if self.tables else None
+            if table is not None and self.partition_variable in table.join_variables:
+                slot = table.join_variables.index(self.partition_variable)
+                owners = tuple(sorted({owner_of(key[slot]) for key in table.index()}))
+            cached = self._owners = (owners,)
+        return cached[0]
 
     @property
     def broadcast_rows(self) -> int:
@@ -312,21 +352,75 @@ def _pattern_table(store, consts, var_count: int) -> Tuple[int, Tuple[bytes, ...
     return rows, tuple(column.tobytes() for column in columns)
 
 
+def anchor_seeds(
+    store, plan: ShipPlan, initial: IdBinding
+) -> Optional[List[IdBinding]]:
+    """The initial bindings that seed ``plan``'s anchor on ``store``.
+
+    One binding per distinct join key of the first broadcast table;
+    ``None`` when the anchor should be scanned instead — no table to
+    seed from, ``initial`` already pins a join variable (an OPTIONAL or
+    EXISTS re-entry, whose anchor the pin already restricts), or at
+    least as many keys as the cheapest anchor pattern has rows on this
+    shard.
+    """
+    if not plan.tables:
+        return None
+    table = plan.tables[0]
+    join_variables = table.join_variables
+    if any(initial.get(v) is not None for v in join_variables):
+        return None
+    index = table.index()
+    estimator = plan_context(store).estimator
+    rows = min(
+        estimator.pattern_estimate(pattern, set())
+        for pattern in plan.anchor.elements
+    )
+    if len(index) >= rows:
+        return None
+    bound = dict(initial.items())
+    return [IdBinding({**bound, **dict(zip(join_variables, key))}) for key in index]
+
+
 def execute_ship_plan(
     evaluator, plan: ShipPlan, initial: IdBinding
 ) -> Iterator[IdBinding]:
     """Run a ship plan against one shard's local evaluator.
 
-    The anchor sub-group streams through the normal (vectorized when
-    possible) local pipeline; each broadcast table is then probed with a
-    dict hash join.  Extensions go through
+    The anchor sub-group streams through the normal local pipeline —
+    over the seed bindings when :func:`anchor_seeds` seeds it, else in
+    full (vectorized when possible); each broadcast table is then probed
+    with a dict hash join.  Extensions go through
     :meth:`IdBinding.extend`'s conflict check, so variables the initial
     binding already pins filter correctly.
     """
-    solutions: Iterable[IdBinding] = evaluator._evaluate_group(plan.anchor, initial)
+    seeds = anchor_seeds(evaluator.store, plan, initial)
+    if seeds is None:
+        solutions: Iterable[IdBinding] = evaluator._evaluate_group(
+            plan.anchor, initial
+        )
+    else:
+        solutions = _seeded_anchor(evaluator, plan.anchor, seeds)
     for table in plan.tables:
         solutions = _probe_table(solutions, table)
     return iter(solutions)
+
+
+def _seeded_anchor(
+    evaluator, anchor: GroupGraphPattern, seeds: List[IdBinding]
+) -> Iterable[IdBinding]:
+    """The anchor's solutions under every seed.
+
+    The seeds bind the same variables, so one plan serves them all and a
+    key costs its index lookups, not a whole group evaluation; without
+    the planner each seed re-enters the group instead.
+    """
+    if not seeds:
+        return ()
+    if not evaluator._use_planner:
+        return (s for seed in seeds for s in evaluator._evaluate_group(anchor, seed))
+    plan = evaluator._plan_for(anchor, list(anchor.elements), set(seeds[0]), False)
+    return evaluator._run_plan(plan, seeds, root_call=False, single_input=False)
 
 
 def _probe_table(

@@ -26,7 +26,16 @@ the remaining patterns' full match sets are broadcast to every routed
 shard as columnar ID tables, probed there with a hash join (see
 :mod:`repro.sparql.distjoin`).  Shipping engages only when the broadcast
 side stays under ``REPRO_RESULT_WINDOW``'s sibling knob
-``REPRO_BROADCAST_LIMIT``; otherwise the group falls back.
+``REPRO_BROADCAST_LIMIT``; otherwise the group falls back.  Each shard
+either *seeds* its anchor with the first table's join keys (index
+lookups per key, when it has fewer keys than its cheapest anchor pattern
+has rows) or *scans* it in full.  Routing follows the keys too:
+when the partition variable is a join variable of the first table, only
+the shards owning its key values are dispatched (**key-owner
+routing**), and an empty broadcast table dispatches no shard at all.
+The broadcast tables are built from the parent store, so shipping
+stands aside while the store is mid-handover (process workers may still
+serve the previous snapshot) and the group runs on the global path.
 
 **Global gather** — everything else runs the inherited evaluator against
 the :class:`ShardedTripleStore` itself, whose ID-level API merges the
@@ -93,7 +102,12 @@ from repro.sparql.ast import (
     ValuesNode,
 )
 from repro.sparql.bindings import IdBinding, Variable
-from repro.sparql.distjoin import ShipPlan, build_ship_plan, execute_ship_plan
+from repro.sparql.distjoin import (
+    ShipPlan,
+    anchor_seeds,
+    build_ship_plan,
+    execute_ship_plan,
+)
 from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.fold import FoldSpec, build_fold_spec, finalize, fold_local, merge_partial
 from repro.sparql.parser import parse_query
@@ -274,6 +288,10 @@ class ShardedBGPPlan:
         or, for aggregate queries whose group *is* distributable, why the
         fold could not be pushed to the workers.  ``None`` when nothing
         degraded.
+    anchors:
+        For a ship plan, one ``(shard, keys)`` pair per dispatched shard:
+        ``keys`` is the number of broadcast keys seeding that shard's
+        anchor, or ``None`` when the anchor is scanned in full.
     """
 
     plan: BGPPlan
@@ -283,6 +301,7 @@ class ShardedBGPPlan:
     shards: Tuple[int, ...]
     routing: Tuple[PatternRoute, ...]
     fallback_reason: Optional[str] = None
+    anchors: Tuple[Tuple[int, Optional[int]], ...] = ()
 
     @property
     def steps(self):
@@ -311,6 +330,16 @@ class ShardedBGPPlan:
         ]
         for step, route in zip(self.plan.steps, self.routing):
             lines.append(f"{step.describe()}  {route.describe()}")
+        if self.anchors:
+            lines.append(
+                "anchor: "
+                + ", ".join(
+                    f"shard {index} scanned"
+                    if keys is None
+                    else f"shard {index} seeded ({keys} keys)"
+                    for index, keys in self.anchors
+                )
+            )
         if self.fallback_reason:
             lines.append(f"fallback: {self.fallback_reason}")
         return "\n".join(lines)
@@ -727,8 +756,12 @@ class ShardedQueryEvaluator(QueryEvaluator):
 
         Cached per group *and* store version — the broadcast tables are
         materialised data, so a mutation invalidates them even though the
-        AST key is unchanged.
+        AST key is unchanged.  No plan while the store is mid-handover:
+        the tables would come from the mutated parent store while process
+        workers still evaluate the anchor on the previous snapshot.
         """
+        if getattr(self.store, "_refresh_serving", 0):
+            return None, "store mid-handover (workers may serve the previous snapshot)"
         version = self.store.data_version
         cached = self._ship_cache.get(group)
         if cached is not None and cached[0] == version:
@@ -748,15 +781,9 @@ class ShardedQueryEvaluator(QueryEvaluator):
         self, plan: ShipPlan, initial: IdBinding
     ) -> Tuple[int, ...]:
         """The shards that must run a ship plan's anchor (may be empty)."""
-        bound = initial.get(plan.partition_variable)
-        if bound is not None:
-            if type(bound) is not int:
-                return ()
-            candidates: Optional[List[int]] = [
-                self.store.shard_index_for_subject(bound)
-            ]
-        else:
-            candidates = None
+        candidates = self._ship_candidates(plan, initial)
+        if candidates is not None and not candidates:
+            return ()
         id_patterns = []
         for pattern in plan.anchor.elements:
             consts = self._resolve_constants(pattern)
@@ -765,6 +792,26 @@ class ShardedQueryEvaluator(QueryEvaluator):
             id_patterns.append(tuple(consts))
         shards, _ = self._router.route_group(id_patterns, candidates)
         return shards
+
+    def _ship_candidates(
+        self, plan: ShipPlan, initial: IdBinding
+    ) -> Optional[List[int]]:
+        """Shards a ship plan's anchor can contribute on, or ``None`` for all.
+
+        An empty broadcast table empties the join; otherwise the owners
+        of the seed keys (when they pin the partition variable) and the
+        owner of an initially bound partition variable restrict.
+        """
+        if any(not table.rows for table in plan.tables):
+            return []
+        owners = plan.key_owners(self.store.shard_index_for_subject)
+        bound = initial.get(plan.partition_variable)
+        if bound is None:
+            return None if owners is None else list(owners)
+        if type(bound) is not int:
+            return []  # out-of-dictionary term: no pattern can match
+        home = self.store.shard_index_for_subject(bound)
+        return [home] if owners is None or home in owners else []
 
     def _scatter_subject(self, group: GroupGraphPattern) -> Optional[Variable]:
         cached = self._scatter_cache.get(group)
@@ -866,6 +913,7 @@ class ShardedQueryEvaluator(QueryEvaluator):
             if ship is not None:
                 mode = "ship"
                 subject = ship.partition_variable
+                candidates = self._ship_candidates(ship, IdBinding.EMPTY)
             else:
                 mode = "global"
                 fallback_reason = (
@@ -918,14 +966,21 @@ class ShardedQueryEvaluator(QueryEvaluator):
                 route = self._router.route_pattern(tuple(consts), candidates)
             routing.append(route)
             surviving &= set(route.probed)
+        shards = tuple(sorted(surviving))
+        anchors: List[Tuple[int, Optional[int]]] = []
+        if ship is not None:
+            for index in shards:
+                seeds = anchor_seeds(self._locals[index].store, ship, IdBinding.EMPTY)
+                anchors.append((index, None if seeds is None else len(seeds)))
         return ShardedBGPPlan(
             plan=base,
             mode=mode,
             shard_count=self.store.num_shards,
             subject_variable=subject,
-            shards=tuple(sorted(surviving)),
+            shards=shards,
             routing=tuple(routing),
             fallback_reason=fallback_reason,
+            anchors=tuple(anchors),
         )
 
 

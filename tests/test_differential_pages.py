@@ -284,3 +284,41 @@ class TestShardedPages:
             finally:
                 store._refresh_serving -= 1
         assert len(before) == 20 and during.rows == before.rows
+
+    def test_mid_handover_ship_answers_from_one_generation(self, tmp_path):
+        # A shipped join builds its broadcast tables from the parent store
+        # while the outgoing workers evaluate the anchor on the old
+        # snapshot; mid-handover that would join two generations, so ship
+        # (and the fold over ship) stands aside for the global path.
+        M = Variable("m")
+        triples = [Triple(EX[f"e{i}"], EX.p2, EX[f"o{i}"]) for i in range(40)]
+        triples += [Triple(EX.x, EX.p1, EX.e3), Triple(EX.x, EX.p1, EX.e5)]
+        store = ShardedTripleStore(num_shards=4, triples=triples)
+        chain = "{ <%s> <%s> ?m . ?m <%s> ?o }" % (EX.x.value, EX.p1.value, EX.p2.value)
+        select = f"SELECT ?m ?o WHERE {chain}"
+        count = f"SELECT (COUNT(*) AS ?c) WHERE {chain}"
+
+        def answer(result):
+            return sorted((row[M].value, row[O].value) for row in result)
+
+        old = [(EX.e3.value, EX.o3.value), (EX.e5.value, EX.o5.value)]
+        new = sorted(
+            old
+            + [(EX.e5.value, EX.oNEW.value), (EX.e7.value, EX.o7.value)]
+        )
+        with store.serve(tmp_path / "snap", start_method=START_METHOD) as executor:
+            evaluator = ShardedQueryEvaluator(store, backend="process", executor=executor)
+            assert evaluator.explain(select).mode == "ship"
+            assert answer(evaluator.evaluate(select)) == old
+            store._refresh_serving += 1
+            try:
+                store.add_all(
+                    [Triple(EX.x, EX.p1, EX.e7), Triple(EX.e5, EX.p2, EX.oNEW)]
+                )
+                assert evaluator.explain(select).mode == "global"
+                assert answer(evaluator.evaluate(select)) == new
+                assert evaluator.last_mode() == "global"
+                (row,) = evaluator.evaluate(count)
+                assert int(row[Variable("c")].lexical) == len(new)
+            finally:
+                store._refresh_serving -= 1

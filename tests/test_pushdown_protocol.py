@@ -12,6 +12,9 @@ Asserts the wire-level contracts of PR 7 against the executor's
   next task on that worker starts promptly;
 * a LIMIT/OFFSET page over one pattern dispatches only the shards that
   overlap it and ships exactly its rows, one ``page`` message per shard;
+* a shipped chain whose broadcast keys pin the partition variable
+  dispatches only the shards owning those keys, and an empty broadcast
+  dispatches none;
 * the task ledger balances exactly at quiescence:
   ``dispatched == completed + cancelled + failed + crashed``.
 
@@ -355,3 +358,37 @@ class TestJoinShippingProcess:
             stats = executor.protocol_stats()
             assert stats["dispatched"] >= 1  # ran sharded, not merged-view
             assert _balanced(stats)
+
+    def test_seeded_chain_dispatches_only_key_owners(self, tmp_path):
+        """A chain from an entity seeds its anchor with the broadcast keys
+        and dispatches only the shards owning them; an empty broadcast
+        dispatches nothing."""
+        triples = _star_triples()
+        store = ShardedTripleStore(num_shards=4, triples=triples)
+        reference = QueryEvaluator(TripleStore(triples=triples))
+        chain = (
+            "SELECT ?a ?z WHERE {{ <http://pushdown.test/{}> "
+            "<http://pushdown.test/p0> ?a . ?a <http://pushdown.test/link> ?z }}"
+        )
+        owner = store.shard_index_for_subject(store.term_id(EX.a3))
+        with store.serve(tmp_path / "snap", start_method=START_METHOD) as executor:
+            evaluator = ShardedQueryEvaluator(
+                store, backend="process", executor=executor
+            )
+            # s3 and s10 both link only a3, so every key lives on one shard;
+            # b0 is interned but has no p0 facts: an empty broadcast.
+            for subject, dispatched in (("s3", 1), ("s10", 1), ("b0", 0)):
+                query = chain.format(subject)
+                plan = evaluator.explain(query)
+                assert plan.mode == "ship"
+                assert plan.shards == ((owner,) if dispatched else ())
+                before = executor.protocol_stats()
+                got = evaluator.evaluate(query)
+                after = executor.protocol_stats()
+                assert evaluator.last_mode() == "ship"
+                assert _multiset(got) == _multiset(reference.evaluate(query))
+                assert len(got) == dispatched
+                assert after["dispatched"] - before["dispatched"] == dispatched
+                assert after["completed"] - before["completed"] == dispatched
+                assert _balanced(after)
+                assert after["buffered_batches"] == 0

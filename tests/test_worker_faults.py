@@ -82,6 +82,12 @@ def _kill_stalled_worker(executor, shard_index=0):
     return pid
 
 
+def _balanced(stats):
+    return stats["dispatched"] == (
+        stats["completed"] + stats["cancelled"] + stats["failed"] + stats["crashed"]
+    )
+
+
 def _await_respawn(executor, slot, old_pid, timeout=10.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -350,6 +356,66 @@ class TestWaveFaults:
 
             _await_respawn(executor, 0, old_pid)
             assert endpoint.query(page_query).rows == expected.rows
+            assert endpoint.queries_remaining == 3
+
+    def test_sigkill_mid_seeded_ship_refunds_budget_and_balances_ledger(
+        self, tmp_path
+    ):
+        # A chain from o1 broadcasts its two links and seeds the anchor
+        # ``?m p0 ?x`` with them, dispatching only the keys' owner shard.
+        triples = _triples() + [
+            Triple(EX.o1, EX.link, EX.s0),
+            Triple(EX.o1, EX.link, EX.s1),
+        ]
+        store = ShardedTripleStore(num_shards=2, triples=triples)
+        owner = store.shard_index_for_subject(store.term_id(EX.s0))
+        assert store.shard_index_for_subject(store.term_id(EX.s1)) == owner
+        policy = AccessPolicy(
+            max_queries=5, max_result_rows=None, allow_full_scan=True
+        )
+        chain_query = (
+            "SELECT ?m ?x WHERE { <http://faults.test/o1> "
+            "<http://faults.test/link> ?m . ?m <http://faults.test/p0> ?x }"
+        )
+        plan = ShardedQueryEvaluator(store).explain(chain_query)
+        assert plan.mode == "ship" and plan.shards == (owner,)
+        assert plan.anchors == ((owner, 2),)
+        with sharded_endpoint(
+            store,
+            policy=policy,
+            backend="process",
+            snapshot_dir=tmp_path / "snap",
+            start_method=START_METHOD,
+        ) as endpoint:
+            executor = endpoint.executor
+            expected = endpoint.query(chain_query)
+            assert len(expected) > 0
+            assert endpoint.log.by_mode() == {"ship": 1}
+            assert executor.protocol_stats()["dispatched"] == 1
+
+            old_pid = _stall_worker(executor, shard_index=owner)
+            killer = threading.Timer(0.3, os.kill, (old_pid, signal.SIGKILL))
+            killer.start()
+            with pytest.raises(WorkerCrashError):
+                endpoint.query(chain_query)
+            killer.join()
+            # Exact refund: the crashed chain spent no slot and left no log.
+            assert endpoint.queries_remaining == 4
+            assert endpoint.log.query_count == 1
+
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                stats = executor.protocol_stats()
+                if stats["crashed"] >= 1 and _balanced(stats):
+                    break
+                time.sleep(0.05)
+            assert stats["crashed"] >= 1
+            assert _balanced(stats), stats
+            assert stats["buffered_batches"] == 0
+
+            slot = executor.worker_for_shard(owner)
+            _await_respawn(executor, slot, old_pid)
+            assert endpoint.query(chain_query).rows == expected.rows
             assert endpoint.queries_remaining == 3
 
     def test_trace_survives_worker_sigkill(self, tmp_path):
