@@ -13,14 +13,20 @@ for the rows actually returned.
 
 Columnar finish
 ---------------
-An unordered, non-aggregate SELECT whose WHERE group holds only triple
-patterns and whose projection is ``*`` or plain variables — the shape of
-the aligner's paged sample queries — skips per-row solutions entirely
-when the planner and the block kernels are on and *every* plan step
-vectorizes: :func:`repro.sparql.kernels.finish` projects, deduplicates
-(DISTINCT) and pages (OFFSET/LIMIT) the kernels' ID columns, and only the
+An unordered, non-aggregate SELECT whose projection is ``*`` or plain
+variables skips per-row solutions entirely when the planner and the
+block kernels are on, its WHERE group has a shape
+:meth:`QueryEvaluator._columnar_plan` accepts and *every* plan step
+vectorizes.  The accepted groups hold triple patterns plus at most one
+VALUES node (no UNDEF, every variable used by a pattern) and FILTERs of
+the forms ``?a = ?b``, ``?a != ?b`` and ``[NOT] EXISTS { one pattern }``
+over variables the patterns bind — the shapes of every non-aggregate
+query the aligner sends: paged samples, VALUES lookups and UBS
+disagreement samples.  The VALUES rows seed the kernels, the FILTERs
+become block masks, and :func:`repro.sparql.kernels.finish` projects,
+deduplicates (DISTINCT) and pages (OFFSET/LIMIT) the ID columns; only the
 surviving rows are decoded into :class:`Binding` objects.  Anything else
-— ORDER BY, aggregates, VALUES / FILTER / OPTIONAL / UNION / subgroups,
+— ORDER BY, aggregates, other FILTERs, OPTIONAL / UNION / subgroups,
 expression projections, a plan step the kernels cannot run, or kernels
 disabled (``REPRO_NO_NUMPY``) — takes the per-row chain: kernel or scalar
 solutions are projected, deduplicated and sliced one row at a time.  Both
@@ -72,7 +78,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sparql.ast import (
     AskQuery,
+    BinaryExpression,
     CountExpression,
+    ExistsExpression,
     FilterNode,
     GroupGraphPattern,
     OptionalNode,
@@ -81,6 +89,7 @@ from repro.sparql.ast import (
     TriplePatternNode,
     UnionNode,
     ValuesNode,
+    VariableExpression,
 )
 from repro.sparql import kernels
 from repro.sparql.bindings import Binding, IdBinding, Variable
@@ -256,24 +265,18 @@ class QueryEvaluator:
         the two paths answers:
 
         * the columnar finish, when :meth:`_columnar_plan` accepts the
-          query and every plan step vectorizes — the kernel blocks are
+          query and every plan step vectorizes — the kernel blocks,
+          seeded by the VALUES rows and masked by the FILTERs, are
           projected, deduplicated and paged by :func:`kernels.finish`;
-        * otherwise per row: solutions are projected, deduplicated and
-          sliced one at a time.
+        * otherwise per row: :meth:`_evaluate_group` solutions are
+          projected, deduplicated and sliced one at a time.
         """
         variables = self._output_variables(query)
         plan = self._columnar_plan(query)
-        if plan is None:
-            solutions = self._evaluate_group(query.where, IdBinding.EMPTY)
-        else:
-            blocks = kernels.plan_blocks(self, plan)
-            if blocks is not None:
-                return self._finish_columns(
-                    query, variables, plan, blocks, offset, limit
-                )
-            solutions = self._run_plan(
-                plan, (IdBinding.EMPTY,), root_call=True, single_input=True
-            )
+        blocks = None if plan is None else kernels.plan_blocks(self, plan)
+        if blocks is not None:
+            return self._finish_columns(query, variables, plan, blocks, offset, limit)
+        solutions = self._evaluate_group(query.where, IdBinding.EMPTY)
         if self._plain_projection(query):
             projected: Iterator[tuple] = (
                 tuple(map(solution.get, variables)) for solution in solutions
@@ -306,25 +309,77 @@ class QueryEvaluator:
             for row in rows
         ]
 
-    def _columnar_plan(self, query: SelectQuery) -> Optional[BGPPlan]:
-        """The BGP plan of a query the columnar finish may answer, else ``None``.
+    def _columnar_plan(self, query: SelectQuery) -> Optional[kernels.ColumnarPlan]:
+        """The plan of a query the columnar finish may answer, else ``None``.
 
-        Called for unordered, non-aggregate SELECTs.  The shape qualifies
-        when the WHERE group holds only triple patterns, every projection
-        item is a plain variable (or ``SELECT *``) and the planner and
-        kernels are on.  Whether every plan step vectorizes is decided by
-        the caller, which reuses this plan for the per-row path otherwise.
+        Called for unordered, non-aggregate SELECTs, with the planner and
+        kernels on and every projection item a plain variable (or
+        ``SELECT *``).  The WHERE group qualifies when it holds triple
+        patterns plus, optionally:
+
+        * one VALUES node with no UNDEF whose variables all occur in some
+          pattern (its rows seed the plan, as in :meth:`_evaluate_group`);
+        * FILTERs ``?a = ?b`` / ``?a != ?b`` over variables the patterns
+          bind;
+        * FILTERs ``[NOT] EXISTS`` over one triple pattern whose variables
+          the patterns bind.
+
+        Anything else returns ``None`` and takes the per-row path.
+        Whether every plan step vectorizes is decided by
+        :func:`kernels.plan_blocks`.
         """
         if not (self._use_planner and self._use_vectorized):
             return None
-        patterns = list(query.where.elements)
-        if not patterns or not all(
-            isinstance(element, TriplePatternNode) for element in patterns
-        ):
-            return None
         if not self._plain_projection(query):
             return None
-        return self._plan_for(query.where, patterns, set(), True)
+        group = query.where
+        patterns = [e for e in group.elements if isinstance(e, TriplePatternNode)]
+        values = [e for e in group.elements if isinstance(e, ValuesNode)]
+        filters = [e for e in group.elements if isinstance(e, FilterNode)]
+        if not patterns or len(values) > 1:
+            return None
+        if len(patterns) + len(values) + len(filters) != len(group.elements):
+            return None
+        bgp_vars = {v for pattern in patterns for v in pattern.variables()}
+        seed = values[0] if values else None
+        if seed is not None and not (
+            set(seed.variables) <= bgp_vars
+            and len(set(seed.variables)) == len(seed.variables)
+            and all(term is not None for row in seed.rows for term in row)
+        ):
+            return None
+        masks = tuple(self._filter_mask(node, bgp_vars) for node in filters)
+        if None in masks:
+            return None
+        bound = set(seed.variables) if seed is not None else set()
+        plan = self._plan_for(group, patterns, bound, seed is None)
+        return kernels.ColumnarPlan(plan, seed, masks)
+
+    @staticmethod
+    def _filter_mask(node: FilterNode, bgp_vars: set):
+        """The block mask of a FILTER the columnar finish runs, else ``None``."""
+        expression = node.expression
+        if isinstance(expression, BinaryExpression):
+            left, right = expression.left, expression.right
+            if (
+                expression.operator in ("=", "!=")
+                and isinstance(left, VariableExpression)
+                and isinstance(right, VariableExpression)
+                and {left.variable, right.variable} <= bgp_vars
+            ):
+                return kernels.CompareMask(
+                    left.variable, right.variable, expression.operator == "=", node
+                )
+            return None
+        if isinstance(expression, ExistsExpression):
+            elements = expression.group.elements
+            if (
+                len(elements) == 1
+                and isinstance(elements[0], TriplePatternNode)
+                and set(elements[0].variables()) <= bgp_vars
+            ):
+                return kernels.ExistsMask(elements[0], expression.negated)
+        return None
 
     @staticmethod
     def _plain_projection(query: SelectQuery) -> bool:
@@ -338,7 +393,7 @@ class QueryEvaluator:
         self,
         query: SelectQuery,
         variables: List[Variable],
-        plan: BGPPlan,
+        plan: kernels.ColumnarPlan,
         blocks: Iterator[Tuple],
         offset: int,
         limit: Optional[int],
@@ -347,7 +402,7 @@ class QueryEvaluator:
         (:func:`kernels.finish`)."""
         self._metrics.increment("kernel.vectorized")
         if self._tracer.active:
-            span = self._tracer.stream_span("kernel", steps=len(plan.steps))
+            span = self._tracer.stream_span("kernel", steps=len(plan.bgp.steps))
             if span is not None:
                 # A block is (variables, columns, row count).
                 blocks = obs_trace.count_rows(span, blocks, size=lambda block: block[2])
@@ -631,7 +686,10 @@ class QueryEvaluator:
 
         FILTER / OPTIONAL / UNION / subgroups keep their relative position
         *after* all triple patterns of the group, matching SPARQL's
-        bottom-up semantics for the subset we support.
+        bottom-up semantics for the subset we support.  This is the
+        per-row path; the columnar finish of a top-level page builds the
+        same plan (:meth:`_columnar_plan`) and must yield the same rows in
+        the same order.
         """
         values_nodes = [e for e in group.elements if isinstance(e, ValuesNode)]
         patterns = [e for e in group.elements if isinstance(e, TriplePatternNode)]

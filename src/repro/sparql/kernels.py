@@ -34,15 +34,28 @@ How the blocks leave the kernels depends on the query:
 
 * **Columnar finish** (:func:`plan_blocks` + :func:`finish`) — when every
   plan step vectorizes and the evaluator asks for it (an unordered,
-  non-aggregate SELECT over triple patterns only, projecting ``*`` or
-  plain variables), projection, DISTINCT and OFFSET/LIMIT run on the ID
-  columns and only the page's rows come out, as ID tuples.
+  non-aggregate SELECT projecting ``*`` or plain variables over triple
+  patterns, at most one VALUES node and ``=`` / ``!=`` / ``[NOT]
+  EXISTS`` FILTERs; see :class:`ColumnarPlan`), projection, DISTINCT and
+  OFFSET/LIMIT run on the ID columns and only the page's rows come out,
+  as ID tuples.  Two more block operators serve it:
+
+  * **Seed + lookup** — the VALUES rows become the first block, and the
+    plan's ``scan`` makes one index call per seed row, gathering the
+    matches with ``repeat`` (:func:`_lookup_blocks`).
+  * **Masks** — each FILTER becomes a boolean mask applied to every
+    block before the finish counts it: an ID comparison (literal pairs
+    go through the scalar FILTER) or one ``contains_ids`` probe per row.
+
 * **Per-row emit** (:func:`execute`) — otherwise the blocks become
   :class:`IdBinding` rows, and any steps past the vectorizable prefix run
   through the evaluator's scalar operators.
 
 Both orders are the same: blocks in stream order, rows in block order,
-DISTINCT keeping first occurrences.  The pinned Table 1 relies on it.
+DISTINCT keeping first occurrences, and each seed row's matches in index
+order, just as the per-row operators visit them.  That holds on every
+index form because warm, CSR and frozen indexes all iterate keys and
+seconds in ascending ID order.  The pinned Table 1 relies on it.
 
 The kernels are generic over index forms: warm ``array('q')`` columns,
 frozen snapshot ``memoryview`` windows (mmap included) and sharded
@@ -55,12 +68,14 @@ the evaluator keeps its pure-Python operators.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Optional, Tuple
+from itertools import chain, repeat, starmap
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.obs import config as _config
-from repro.sparql.ast import TriplePatternNode
-from repro.sparql.bindings import IdBinding, Variable
+from repro.sparql.ast import FilterNode, TriplePatternNode, ValuesNode
+from repro.sparql.bindings import Binding, IdBinding, Variable
 from repro.sparql.plan import HASH, MERGE, NESTED, SCAN, BGPPlan, PlanStep
+from repro.store.dictionary import KIND_LITERAL
 from repro.store.index import ColumnView
 
 try:  # numpy is an optional accelerator throughout the library
@@ -79,6 +94,34 @@ BLOCK_ROWS = 4096
 #: the scalar path's selectivity away.
 NESTED_BUILD_FACTOR = 16.0
 NESTED_BUILD_MIN = 4096.0
+
+
+class CompareMask(NamedTuple):
+    """``FILTER(?left = ?right)`` (``equal``) or ``FILTER(?left != ?right)``
+    over two variables the BGP binds; ``node`` is the FILTER itself, which
+    the scalar evaluator answers for literal-literal rows."""
+
+    left: Variable
+    right: Variable
+    equal: bool
+    node: FilterNode
+
+
+class ExistsMask(NamedTuple):
+    """``FILTER [NOT] EXISTS { pattern }`` over one triple pattern whose
+    variables the BGP binds."""
+
+    pattern: TriplePatternNode
+    negated: bool
+
+
+class ColumnarPlan(NamedTuple):
+    """A group the columnar finish may answer: the BGP plan, the VALUES
+    node seeding it (or ``None``) and the FILTER masks over its blocks."""
+
+    bgp: BGPPlan
+    values: Optional[ValuesNode]
+    masks: Tuple
 
 
 def kernels_available() -> bool:
@@ -251,6 +294,170 @@ def _scan_blocks(store, pattern, consts) -> Iterator[Tuple]:
         yield variables, [col[start:stop] for col in cols], stop - start
 
 
+def _seed_block(dictionary, values: ValuesNode) -> Tuple:
+    """A VALUES node's rows as one block: ID columns in row order,
+    duplicates kept.  A row holding a term the dictionary never saw is
+    dropped, because it can match no pattern."""
+    width = len(values.variables)
+    ids = list(map(dictionary.id_for, chain.from_iterable(values.rows)))
+    n = len(values.rows)
+    if None in ids:
+        rows = [ids[start : start + width] for start in range(0, len(ids), width)]
+        ids = [tid for row in rows if None not in row for tid in row]
+        n = len(ids) // width
+    table = _np.array(ids, dtype=_np.int64).reshape(n, width)
+    return values.variables, [table[:, slot] for slot in range(width)], n
+
+
+def _lookup_blocks(store, seed, pattern, consts) -> Iterator[Tuple]:
+    """Index nested-loop join of a seed block against ``pattern``.
+
+    Each seed row fills the pattern positions its variables bind and makes
+    one index call.  With two fixed positions that is ``sorted_run_ids``,
+    whose runs are all fetched up front (C-level loops) and converted once
+    per block; otherwise :func:`_pattern_columns` (``key_columns`` with
+    one fixed position, ``contains_ids`` with three), row by row.  The
+    matches are gathered with ``repeat``, with no Python per output row.
+    Seed row order is kept and each row's matches come in index order,
+    exactly as the per-row ``scan`` lists them.  Blocks are cut once they
+    reach :data:`BLOCK_ROWS` rows.
+    """
+    seed_vars, seed_cols, n = seed
+    terms = (pattern.subject, pattern.predicate, pattern.object)
+    seeded = [isinstance(term, Variable) and term in seed_vars for term in terms]
+    new_vars = tuple(
+        term
+        for term, fixed in zip(terms, seeded)
+        if isinstance(term, Variable) and not fixed
+    )
+    variables = tuple(seed_vars) + new_vars
+    # One (s, p, o) probe per seed row: seed values, constants, None.
+    probes = zip(*(
+        seed_cols[seed_vars.index(term)].tolist() if fixed else repeat(const, n)
+        for term, const, fixed in zip(terms, consts, seeded)
+    ))
+    if len(new_vars) == 1 and getattr(store, "shards", None) is None:
+        runs = list(starmap(store.sorted_run_ids, probes))
+        counts = list(map(len, runs))
+        for start, stop, total in _cuts(counts):
+            out = _repeat_seed(seed_cols, counts, start, stop)
+            out.append(
+                _np.fromiter(chain.from_iterable(runs[start:stop]), dtype=_np.int64, count=total)
+            )
+            yield variables, out, total
+        return
+    counts = []
+    parts: List[List] = [[] for _ in new_vars]
+    start = pending = 0
+    for row, probe in enumerate(probes):
+        count, cols = _pattern_columns(store, list(probe))
+        counts.append(count)
+        if count:
+            for part, col in zip(parts, cols):
+                part.append(col)
+            pending += count
+        if pending and (pending >= BLOCK_ROWS or row == n - 1):
+            out = _repeat_seed(seed_cols, counts, start, row + 1)
+            out.extend(_np.concatenate(part) for part in parts)
+            yield variables, out, pending
+            start, pending = row + 1, 0
+            parts = [[] for _ in new_vars]
+
+
+def _cuts(counts: List[int]) -> Iterator[Tuple[int, int, int]]:
+    """``(start, stop, rows)`` ranges of seed rows whose matches fill a
+    block of at least :data:`BLOCK_ROWS` rows (the last may hold fewer)."""
+    start = total = 0
+    for row, count in enumerate(counts):
+        total += count
+        if total >= BLOCK_ROWS:
+            yield start, row + 1, total
+            start, total = row + 1, 0
+    if total:
+        yield start, len(counts), total
+
+
+def _repeat_seed(seed_cols, counts: List[int], start: int, stop: int) -> List:
+    """Seed rows ``start:stop``, each repeated as often as it matched."""
+    rows = _np.repeat(_np.arange(start, stop), counts[start:stop])
+    return [col[rows] for col in seed_cols]
+
+
+def _mask_blocks(blocks, masks: List[Callable]) -> Iterator[Tuple]:
+    """Keep each block's rows that every mask accepts, in order.
+
+    A mask maps a block to a boolean keep-array; later masks only see the
+    rows earlier ones kept.  Emptied blocks are dropped.
+    """
+    for variables, cols, n in blocks:
+        for mask in masks:
+            keep = mask(variables, cols, n)
+            kept = int(_np.count_nonzero(keep))
+            if kept != n:
+                cols = [col[keep] for col in cols]
+                n = kept
+            if not n:
+                break
+        if n:
+            yield variables, cols, n
+
+
+def _compare_mask(evaluator, spec: CompareMask) -> Callable:
+    """``?a = ?b`` / ``?a != ?b`` as a block mask.
+
+    IDs decide every row where either side is an IRI or blank node: the
+    dictionary interns each term once, so equal terms share an ID.  Rows
+    where both sides are literals go through the scalar FILTER instead,
+    which keeps value equality (``"1"`` vs ``"01"`` as integers) and NaN
+    exact.
+    """
+    dictionary = evaluator.store.dictionary
+    decode = dictionary.decode
+    expressions = evaluator._expressions
+
+    def literals(col):
+        kinds = dictionary.kinds_of(col.tolist())
+        return _np.frombuffer(kinds, dtype=_np.uint8) == KIND_LITERAL
+
+    def scalar(left_id, right_id) -> bool:
+        binding = Binding({spec.left: decode(left_id), spec.right: decode(right_id)})
+        return expressions.evaluate_boolean(spec.node.expression, binding)
+
+    def mask(variables, cols, n):
+        left = cols[variables.index(spec.left)]
+        right = cols[variables.index(spec.right)]
+        keep = (left == right) if spec.equal else (left != right)
+        both = _np.flatnonzero(literals(left) & literals(right))
+        if both.size:
+            keep[both] = list(map(scalar, left[both].tolist(), right[both].tolist()))
+        return keep
+
+    return mask
+
+
+def _exists_mask(evaluator, spec: ExistsMask) -> Callable:
+    """``[NOT] EXISTS { pattern }`` as one ``contains_ids`` probe per row.
+
+    A pattern constant missing from the dictionary makes ``EXISTS`` false
+    on every row.
+    """
+    consts = evaluator._resolve_constants(spec.pattern)
+    contains = evaluator.store.contains_ids
+    terms = (spec.pattern.subject, spec.pattern.predicate, spec.pattern.object)
+
+    def mask(variables, cols, n):
+        if consts is None:
+            return _np.full(n, spec.negated)
+        probes = [
+            cols[variables.index(term)].tolist() if const is None else repeat(const, n)
+            for term, const in zip(terms, consts)
+        ]
+        found = _np.fromiter(starmap(contains, zip(*probes)), dtype=bool, count=n)
+        return ~found if spec.negated else found
+
+    return mask
+
+
 def _merge_blocks(blocks, run, variable) -> Iterator[Tuple]:
     """Semi-join each block against a sorted run on ``variable``."""
     if not run.size:
@@ -378,7 +585,9 @@ def execute(evaluator, plan: BGPPlan) -> Optional[Iterator[IdBinding]]:
     evaluator's scalar operators — or ``None`` when not even the first
     scan vectorizes (the caller keeps its scalar pipeline).  Only called
     for single-input groups (empty initial binding, no VALUES): kernels
-    compute complete solutions from the store alone.
+    compute complete solutions from the store alone.  VALUES-seeded
+    groups finish in columns through :func:`plan_blocks` instead, or run
+    per row.
     """
     steps = plan.steps
     prefix = _vectorizable_prefix(steps)
@@ -387,26 +596,43 @@ def execute(evaluator, plan: BGPPlan) -> Optional[Iterator[IdBinding]]:
     return _execute(evaluator, steps, prefix)
 
 
-def plan_blocks(evaluator, plan: BGPPlan) -> Optional[Iterator[Tuple]]:
+def plan_blocks(evaluator, plan: ColumnarPlan) -> Optional[Iterator[Tuple]]:
     """The plan's lazy block stream, or ``None`` unless every step vectorizes.
 
-    The same blocks :func:`execute` emits as rows, for callers that finish
-    the query in ID columns (:func:`finish`).  Same single-input contract
-    as :func:`execute`.
+    For callers that finish the query in ID columns (:func:`finish`).
+    Without a VALUES node these are the blocks :func:`execute` emits as
+    rows (same single-input contract).  With one, its rows are the first
+    block and the plan's ``scan`` looks each of them up
+    (:func:`_lookup_blocks`).  The FILTER masks then drop rows from every
+    block, so the finish counts only the rows that survive.
     """
-    steps = plan.steps
+    steps = plan.bgp.steps
     if _vectorizable_prefix(steps) != len(steps):
         return None
-    return _blocks(evaluator, steps)
+    blocks = _blocks(evaluator, steps, plan.values)
+    if plan.masks:
+        masks = [
+            _compare_mask(evaluator, spec)
+            if isinstance(spec, CompareMask)
+            else _exists_mask(evaluator, spec)
+            for spec in plan.masks
+        ]
+        blocks = _mask_blocks(blocks, masks)
+    return blocks
 
 
-def _blocks(evaluator, steps) -> Iterator[Tuple]:
-    """Blocks of the vectorized ``steps`` (all of them kernel-runnable)."""
+def _blocks(evaluator, steps, values: Optional[ValuesNode] = None) -> Iterator[Tuple]:
+    """Blocks of the vectorized ``steps`` (all of them kernel-runnable),
+    seeded by ``values`` when given."""
     store = evaluator.store
     consts = evaluator._resolve_constants(steps[0].pattern)
     if consts is None:
         return  # a constant the dictionary never saw: provably empty
-    blocks = _scan_blocks(store, steps[0].pattern, consts)
+    if values is None:
+        blocks = _scan_blocks(store, steps[0].pattern, consts)
+    else:
+        seed = _seed_block(store.dictionary, values)
+        blocks = _lookup_blocks(store, seed, steps[0].pattern, consts)
     for step in steps[1:]:
         consts = evaluator._resolve_constants(step.pattern)
         if consts is None:

@@ -110,6 +110,7 @@ from repro.sparql.distjoin import (
 )
 from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.fold import FoldSpec, build_fold_spec, finalize, fold_local, merge_partial
+from repro.sparql.kernels import ColumnarPlan
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import BGPPlan, PLAN_CACHE_LIMIT
 from repro.sparql.results import ResultSet
@@ -464,7 +465,7 @@ class ShardedQueryEvaluator(QueryEvaluator):
         finally:
             self._push_local.spec = None
 
-    def _columnar_plan(self, query: SelectQuery) -> Optional[BGPPlan]:
+    def _columnar_plan(self, query: SelectQuery) -> Optional[ColumnarPlan]:
         """Never finish in columns: groups must go through
         :meth:`_evaluate_group`, which owns scatter / ship / global routing
         and the projection pushdown."""

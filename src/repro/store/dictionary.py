@@ -238,6 +238,15 @@ class TermDictionary:
         """Whether ``tid`` denotes a literal."""
         return self._kinds[tid] == KIND_LITERAL
 
+    def kinds_of(self, tids: List[int]) -> bytes:
+        """The kind tags of ``tids``, one byte per ID, in order.
+
+        The column form of :meth:`kind`: the block kernels read it with
+        ``np.frombuffer``.  It returns a copy, so no buffer view of the
+        growing kind column outlives the call.
+        """
+        return bytes(map(self._kinds.__getitem__, tids))
+
     def is_entity_id(self, tid: int) -> bool:
         """Whether ``tid`` denotes an IRI or blank node."""
         return self._kinds[tid] != KIND_LITERAL
@@ -459,6 +468,11 @@ class LazyTermDictionary(TermDictionary):
             except IndexError:
                 raise StoreError(f"Unknown term ID: {tid}") from None
         return super().kind(tid)
+
+    def kinds_of(self, tids: List[int]) -> bytes:
+        if self._promoted or not self.has_tail:
+            return super().kinds_of(tids)
+        return bytes(map(self.kind, tids))
 
     def is_literal_id(self, tid: int) -> bool:
         kinds = self._kinds

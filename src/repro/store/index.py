@@ -70,8 +70,11 @@ class IdTripleIndex:
 
     The meaning of the three positions is decided by the caller (the store
     uses subject/predicate/object permutations).  The third level is a
-    sorted integer sequence, so membership is a bisect and iteration yields
-    IDs in sorted (therefore deterministic) order.
+    sorted integer sequence, so membership is a bisect.  Every iterator
+    walks keys and seconds in ascending order, not dict insertion order,
+    so warm, CSR and frozen forms stream entries in the same order (the
+    block kernels and the per-row operators rely on it).  Keys bulk-loaded
+    in sorted order make those sorts linear.
     """
 
     __slots__ = ("_index", "_size", "_key_counts")
@@ -301,13 +304,13 @@ class IdTripleIndex:
         return thirds is not None and third in thirds
 
     def keys(self) -> Iterator[int]:
-        """Iterate over all distinct keys."""
-        return iter(self._index)
+        """Iterate over all distinct keys (ascending)."""
+        return iter(sorted(self._index))
 
     def seconds(self, key: int) -> Iterator[int]:
-        """Iterate over the distinct second IDs under ``key``."""
+        """Iterate over the distinct second IDs under ``key`` (ascending)."""
         by_second = self._index.get(key)
-        return iter(()) if by_second is None else iter(by_second)
+        return iter(()) if by_second is None else iter(sorted(by_second))
 
     def thirds(self, key: int, second: int) -> Iterator[int]:
         """Iterate over the third IDs under ``(key, second)`` in sorted order."""
@@ -329,12 +332,12 @@ class IdTripleIndex:
         return by_second.get(second, ())
 
     def pairs(self, key: int) -> Iterator[Tuple[int, int]]:
-        """Iterate over ``(second, third)`` pairs under ``key``."""
+        """Iterate over ``(second, third)`` pairs under ``key`` (sorted)."""
         by_second = self._index.get(key)
         if by_second is None:
             return
-        for second, thirds in by_second.items():
-            for third in thirds:
+        for second in sorted(by_second):
+            for third in by_second[second]:
                 yield second, third
 
     def items_for_key(self, key: int) -> Iterator[Tuple[int, SortedList]]:
@@ -347,13 +350,15 @@ class IdTripleIndex:
         by_second = self._index.get(key)
         if by_second is None:
             return iter(())
-        return iter(by_second.items())
+        return ((second, by_second[second]) for second in sorted(by_second))
 
     def triples(self) -> Iterator[Tuple[int, int, int]]:
-        """Iterate over every ``(key, second, third)`` entry."""
-        for key, by_second in self._index.items():
-            for second, thirds in by_second.items():
-                for third in thirds:
+        """Iterate over every ``(key, second, third)`` entry (sorted)."""
+        index = self._index
+        for key in sorted(index):
+            by_second = index[key]
+            for second in sorted(by_second):
+                for third in by_second[second]:
                     yield key, second, third
 
     # ------------------------------------------------------------------ #

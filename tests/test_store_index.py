@@ -120,3 +120,14 @@ class TestIdTripleIndex:
             assert sorted(frozen.pairs(key)) == sorted(index.pairs(key))
             for second in (A, B, C, D):
                 assert list(frozen.thirds(key, second)) == list(index.thirds(key, second))
+
+    def test_iteration_is_ascending_like_the_frozen_twin(self):
+        index = IdTripleIndex()
+        for entry in [(D, C, A), (B, D, C), (B, A, D), (B, A, B), (A, D, D), (A, C, B)]:
+            index.add(*entry)
+        frozen = _frozen(index)
+        assert list(index.keys()) == list(frozen.keys()) == [A, B, D]
+        assert list(index.seconds(B)) == list(frozen.seconds(B)) == [A, D]
+        assert list(index.pairs(B)) == list(frozen.pairs(B)) == [(A, B), (A, D), (D, C)]
+        assert [second for second, _ in index.items_for_key(A)] == [C, D]
+        assert list(index.triples()) == list(frozen.triples()) == sorted(index.triples())
