@@ -14,9 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # No hard runtime dependencies: the ID-triple indexes keep their sorted
-    # third level in a built-in bisect-maintained list (faster than chunked
-    # sorted containers at this store's run lengths), and numpy — when
-    # present — only accelerates the bulk-load column sort.
-    install_requires=[],
+    install_requires=["numpy"],
 )

@@ -10,7 +10,6 @@
 
 from repro.obs.config import (
     broadcast_limit,
-    numpy_disabled,
     result_window,
     trace_path,
 )
@@ -33,7 +32,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "broadcast_limit",
-    "numpy_disabled",
     "result_window",
     "trace_path",
     "DEFAULT_LATENCY_BUCKETS",

@@ -3,11 +3,11 @@
 Before this module the engine parsed its environment ad hoc —
 ``workers.py`` silently fell back to the default window on a malformed
 ``REPRO_RESULT_WINDOW``, ``distjoin.py`` did the same for
-``REPRO_BROADCAST_LIMIT``, and ``kernels.py`` treated *any* non-empty
-``REPRO_NO_NUMPY`` (including ``"0"``) as "disable numpy".  Silent
-fallbacks turn typos into mystery performance regressions, so here a
-malformed value raises :class:`~repro.errors.ConfigError` naming the
-variable and the offending text.
+``REPRO_BROADCAST_LIMIT``, and the world cache read an unparsable
+``REPRO_WORLD_CACHE_LIMIT`` as "no cap".  Silent fallbacks turn typos
+into mystery performance regressions, so here a malformed value raises
+:class:`~repro.errors.ConfigError` naming the variable and the offending
+text.
 
 Values are read from the environment on every call (no import-time
 caching) so tests can monkeypatch ``os.environ`` freely, and worker
@@ -18,6 +18,7 @@ start method — always see their own process's settings.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -26,12 +27,12 @@ __all__ = [
     "DEFAULT_RESULT_WINDOW",
     "DEFAULT_BROADCAST_LIMIT",
     "env_int",
-    "env_flag",
     "env_path",
     "result_window",
     "broadcast_limit",
-    "numpy_disabled",
     "trace_path",
+    "world_cache_root",
+    "world_cache_limit",
 ]
 
 #: Default credit window: unacked result batches allowed per in-flight
@@ -42,8 +43,8 @@ DEFAULT_RESULT_WINDOW = 8
 #: (see ``sparql/distjoin.py``).
 DEFAULT_BROADCAST_LIMIT = 65536
 
-_FLAG_TRUE = frozenset({"1", "true", "yes", "on"})
-_FLAG_FALSE = frozenset({"0", "false", "no", "off", ""})
+#: Values of ``REPRO_WORLD_CACHE`` that switch the world cache off.
+_WORLD_CACHE_OFF = frozenset({"", "0", "off", "none", "disabled"})
 
 
 def env_int(name: str, default: int, minimum: Optional[int] = None) -> int:
@@ -58,22 +59,6 @@ def env_int(name: str, default: int, minimum: Optional[int] = None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return value
-
-
-def env_flag(name: str, default: bool = False) -> bool:
-    """A boolean environment variable (1/true/yes/on vs 0/false/no/off)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    lowered = raw.strip().lower()
-    if lowered in _FLAG_TRUE:
-        return True
-    if lowered in _FLAG_FALSE:
-        return False
-    raise ConfigError(
-        f"{name} must be a boolean flag (1/true/yes/on or 0/false/no/off), "
-        f"got {raw!r}"
-    )
 
 
 def env_path(name: str) -> Optional[str]:
@@ -94,11 +79,29 @@ def broadcast_limit() -> int:
     return env_int("REPRO_BROADCAST_LIMIT", DEFAULT_BROADCAST_LIMIT, minimum=0)
 
 
-def numpy_disabled() -> bool:
-    """``REPRO_NO_NUMPY``: force the scalar fallback paths everywhere."""
-    return env_flag("REPRO_NO_NUMPY")
-
-
 def trace_path() -> Optional[str]:
     """``REPRO_TRACE``: file to append completed traces to as JSON lines."""
     return env_path("REPRO_TRACE")
+
+
+def world_cache_root() -> Optional[Path]:
+    """``REPRO_WORLD_CACHE``: the scale-world cache root directory.
+
+    Unset means ``~/.cache/repro-worlds``; ``0`` / ``off`` / ``none`` /
+    ``disabled`` (any case) or the empty string turn caching off
+    (``None``); anything else is the root path.
+    """
+    raw = os.environ.get("REPRO_WORLD_CACHE")
+    if raw is None:
+        return Path.home() / ".cache" / "repro-worlds"
+    if raw.strip().lower() in _WORLD_CACHE_OFF:
+        return None
+    return Path(raw)
+
+
+def world_cache_limit() -> Optional[int]:
+    """``REPRO_WORLD_CACHE_LIMIT``: soft world-cache size cap in bytes.
+
+    Unset, blank or ``0`` means no cap (``None``).
+    """
+    return env_int("REPRO_WORLD_CACHE_LIMIT", 0, minimum=0) or None

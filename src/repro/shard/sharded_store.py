@@ -38,12 +38,18 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import ShardSkewWarning, StoreError
 from repro.rdf.terms import IRI, Term
 from repro.rdf.triple import Triple, TriplePattern
 from repro.store.dictionary import TermDictionary
 from repro.store.stats import PredicateStatistics, StoreStatistics
-from repro.store.triplestore import TripleStore
+from repro.store.triplestore import (
+    TripleStore,
+    _ids_array_np,
+    csr_permutation_sections,
+)
 
 #: Sentinel for "constant term unknown to the dictionary" in Term-level
 #: pattern dispatch (mirrors TripleStore's internal convention).
@@ -391,52 +397,28 @@ class ShardedTripleStore:
         inline.  ``start_method`` picks the multiprocessing context, like
         :meth:`serve`.
         """
-        from repro.store.triplestore import _numpy, csr_permutation_sections
-
         store = cls(num_shards=num_shards, name=name, dictionary=dictionary)
-        np = _numpy()
-        if np is not None:
-            from repro.store.triplestore import _ids_array_np
-
-            s = _ids_array_np(np, subjects)
-            p = _ids_array_np(np, predicates)
-            o = _ids_array_np(np, objects)
-            distinct = np.unique(s)
-            if distinct.size and num_shards > 1:
-                store._boundaries = cls._cut_points(distinct, num_shards)
-            store._bounded = True
-            if num_shards == 1:
-                partitions = [(s, p, o)]
-            else:
-                cuts = np.asarray(store._boundaries, dtype=np.int64)
-                # side="right" == bisect_right: boundary IDs stay in the
-                # lower shard, matching shard_index_for_subject exactly.
-                routed = np.searchsorted(cuts, s, side="right")
-                partitions = []
-                for index in range(num_shards):
-                    mask = routed == index
-                    partitions.append((s[mask], p[mask], o[mask]))
+        s = _ids_array_np(subjects)
+        p = _ids_array_np(predicates)
+        o = _ids_array_np(objects)
+        distinct = np.unique(s)
+        if distinct.size and num_shards > 1:
+            store._boundaries = cls._cut_points(distinct, num_shards)
+        store._bounded = True
+        if num_shards == 1:
+            partitions = [(s, p, o)]
         else:
-            rows = list(zip(subjects, predicates, objects))
-            distinct_list = sorted({row[0] for row in rows})
-            if distinct_list and num_shards > 1:
-                store._boundaries = cls._cut_points(distinct_list, num_shards)
-            store._bounded = True
-            boundaries = store._boundaries
-            grouped: List[List[Tuple[int, int, int]]] = [[] for _ in range(num_shards)]
-            for row in rows:
-                grouped[bisect_right(boundaries, row[0])].append(row)
-            partitions = [
-                (
-                    [row[0] for row in part],
-                    [row[1] for row in part],
-                    [row[2] for row in part],
-                )
-                for part in grouped
-            ]
+            cuts = np.asarray(store._boundaries, dtype=np.int64)
+            # side="right" == bisect_right: boundary IDs stay in the
+            # lower shard, matching shard_index_for_subject exactly.
+            routed = np.searchsorted(cuts, s, side="right")
+            partitions = []
+            for index in range(num_shards):
+                mask = routed == index
+                partitions.append((s[mask], p[mask], o[mask]))
 
         worker_count = min(processes or 1, sum(1 for part in partitions if len(part[0])))
-        if worker_count > 1 and np is not None:
+        if worker_count > 1:
             from repro.shard.workers import map_in_processes
 
             payloads = [

@@ -13,9 +13,9 @@ a parent-coordinated **distributed hash join**:
    live entirely on that subject's home shard, so scattering the anchor
    is exact and disjoint across shards.
 2. Every remaining pattern's **full global match set** is materialised
-   once in the parent as parallel int64 ID columns (the PR 6 kernel
-   column builder when numpy is available, a pure-Python twin otherwise)
-   and broadcast to the workers inside the (cached, pickled-once) plan.
+   once in the parent as parallel int64 ID columns (the kernel column
+   builder, :func:`repro.sparql.kernels.pattern_columns`) and broadcast
+   to the workers inside the (cached, pickled-once) plan.
 3. Each worker evaluates the anchor locally and probes the broadcast
    tables with a hash join — the classic broadcast join: correct because
    ``scatter(anchor) ⋈ tables`` over disjoint anchor partitions equals
@@ -52,6 +52,8 @@ from __future__ import annotations
 
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.obs import config as _config
 from repro.sparql import kernels
@@ -129,17 +131,13 @@ class BroadcastTable:
 
 
 def _decode_column(data: bytes, rows: int) -> List[int]:
-    if kernels.kernels_available():
-        return kernels._np.frombuffer(data, dtype="<i8").tolist()
-    column = array("q")
-    column.frombytes(data)
-    return column.tolist()
+    return np.frombuffer(data, dtype="<i8").tolist()
 
 
 def _encode_column(values) -> bytes:
     if isinstance(values, array):
         return values.tobytes()
-    return kernels._np.ascontiguousarray(values, dtype="<i8").tobytes()
+    return np.ascontiguousarray(values, dtype="<i8").tobytes()
 
 
 class ShipPlan:
@@ -332,24 +330,12 @@ def _pattern_table(store, consts, var_count: int) -> Tuple[int, Tuple[bytes, ...
     """A resolved pattern's full match set as ``(rows, int64 column bytes)``.
 
     ``consts is None`` (a constant the dictionary never saw) is an empty
-    table.  Uses the vectorized kernel column builder when numpy is
-    available and an ``array('q')`` accumulation loop otherwise — byte
-    layouts are identical, so the ``REPRO_NO_NUMPY`` job exercises the
-    same wire format.
+    table.  The columns come from the vectorized kernel column builder.
     """
     if consts is None:
         return 0, tuple(b"" for _ in range(var_count))
-    if kernels.kernels_available():
-        rows, columns = kernels.pattern_columns(store, consts)
-        return rows, tuple(_encode_column(col) for col in columns)
-    positions = [i for i, c in enumerate(consts) if c is None]
-    columns = [array("q") for _ in positions]
-    rows = 0
-    for ids in store.match_ids(*consts):
-        for column, position in zip(columns, positions):
-            column.append(ids[position])
-        rows += 1
-    return rows, tuple(column.tobytes() for column in columns)
+    rows, columns = kernels.pattern_columns(store, consts)
+    return rows, tuple(_encode_column(col) for col in columns)
 
 
 def anchor_seeds(

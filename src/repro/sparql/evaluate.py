@@ -27,13 +27,13 @@ become block masks, and :func:`repro.sparql.kernels.finish` projects,
 deduplicates (DISTINCT) and pages (OFFSET/LIMIT) the ID columns; only the
 surviving rows are decoded into :class:`Binding` objects.  Anything else
 — ORDER BY, aggregates, other FILTERs, OPTIONAL / UNION / subgroups,
-expression projections, a plan step the kernels cannot run, or kernels
-disabled (``REPRO_NO_NUMPY``) — takes the per-row chain: kernel or scalar
-solutions are projected, deduplicated and sliced one row at a time.  Both
-paths return the same rows in the same order; unordered pages decide which
-samples the aligner sees, so that order is part of the contract.  One
-method, :meth:`QueryEvaluator._page_ids`, owns both paths; sharded pages
-reuse it per shard (see :mod:`repro.sparql.scatter`).
+expression projections, a plan step the kernels cannot run, or an
+evaluator built with ``use_vectorized=False`` — takes the per-row chain:
+kernel or scalar solutions are projected, deduplicated and sliced one row
+at a time.  Both paths return the same rows in the same order; unordered
+pages decide which samples the aligner sees, so that order is part of the
+contract.  One method, :meth:`QueryEvaluator._page_ids`, owns both
+paths; sharded pages reuse it per shard (see :mod:`repro.sparql.scatter`).
 
 Plan → operator pipeline
 ------------------------
@@ -151,19 +151,16 @@ class QueryEvaluator:
         index-lookup joins — a reference implementation used by property
         tests and benchmarks to cross-check the planned operators.
     use_vectorized:
-        ``None`` (default) runs planned BGPs through the numpy block
-        kernels (:mod:`repro.sparql.kernels`) whenever they are available;
-        ``False`` keeps the scalar per-row operators as the differential
-        reference.  ``True`` still degrades silently to the scalar path
-        when numpy is missing or ``REPRO_NO_NUMPY`` is set, so callers
-        never need to guard on the environment.
+        ``True`` (default) runs planned BGPs through the numpy block
+        kernels (:mod:`repro.sparql.kernels`); ``False`` keeps the scalar
+        per-row operators as the differential reference.
     """
 
     def __init__(
         self,
         store: TripleStore,
         use_planner: bool = True,
-        use_vectorized: Optional[bool] = None,
+        use_vectorized: bool = True,
     ):
         self.store = store
         self._dict = store.dictionary
@@ -176,10 +173,7 @@ class QueryEvaluator:
             exists_callback=lambda group, binding: exists()(group, binding)
         )
         self._use_planner = use_planner
-        if use_vectorized is None:
-            self._use_vectorized = kernels.kernels_available()
-        else:
-            self._use_vectorized = bool(use_vectorized) and kernels.kernels_available()
+        self._use_vectorized = use_vectorized
         self._metrics = obs_metrics.registry()
         self._tracer = obs_trace.recorder()
         # Per-thread execution-mode note (single / fast-count / fold /

@@ -60,9 +60,8 @@ seconds in ascending ID order.  The pinned Table 1 relies on it.
 The kernels are generic over index forms: warm ``array('q')`` columns,
 frozen snapshot ``memoryview`` windows (mmap included) and sharded
 stores (per-shard columns concatenate; subject-range partitioning keeps
-concatenated subject runs sorted).  When numpy is missing — or
-``REPRO_NO_NUMPY`` is set — :func:`kernels_available` is ``False`` and
-the evaluator keeps its pure-Python operators.
+concatenated subject runs sorted).  Evaluators built with
+``use_vectorized=False`` skip them and keep the per-row operators.
 """
 
 from __future__ import annotations
@@ -71,17 +70,13 @@ from array import array
 from itertools import chain, repeat, starmap
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.obs import config as _config
+import numpy as _np
+
 from repro.sparql.ast import FilterNode, TriplePatternNode, ValuesNode
 from repro.sparql.bindings import Binding, IdBinding, Variable
 from repro.sparql.plan import HASH, MERGE, NESTED, SCAN, BGPPlan, PlanStep
 from repro.store.dictionary import KIND_LITERAL
 from repro.store.index import ColumnView
-
-try:  # numpy is an optional accelerator throughout the library
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 #: Rows per emitted block: large enough to amortise per-block Python,
 #: small enough that ASK / LIMIT early exits waste little work.
@@ -122,12 +117,6 @@ class ColumnarPlan(NamedTuple):
     bgp: BGPPlan
     values: Optional[ValuesNode]
     masks: Tuple
-
-
-def kernels_available() -> bool:
-    """Whether the block kernels can run (numpy importable and not
-    disabled via the ``REPRO_NO_NUMPY`` environment variable)."""
-    return _np is not None and not _config.numpy_disabled()
 
 
 # --------------------------------------------------------------------- #
@@ -246,7 +235,6 @@ def pattern_columns(store, consts) -> Tuple[int, List]:
 
     The cross-shard join shipper (:mod:`repro.sparql.distjoin`) uses it to
     materialise a broadcast side's ID columns in one vectorized pass.
-    Callers must check :func:`kernels_available` first.
     """
     return _pattern_columns(store, consts)
 

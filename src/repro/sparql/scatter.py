@@ -385,7 +385,7 @@ class ShardedQueryEvaluator(QueryEvaluator):
         use_planner: bool = True,
         backend: str = "thread",
         executor=None,
-        use_vectorized=None,
+        use_vectorized: bool = True,
     ):
         if not isinstance(store, ShardedTripleStore):
             raise TypeError(

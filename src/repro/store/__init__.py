@@ -31,8 +31,8 @@ The storage substrate has three layers, bottom to top:
    bookkeeping alone.  :meth:`TripleStore.bulk_load` is the columnar
    construction fast path (:mod:`repro.store.bulk`): batch-intern,
    accumulate ``array('q')`` ID columns, sort once per index order
-   (numpy-accelerated when available) and build the indexes from the
-   sorted runs.
+   (in numpy for large batches) and build the indexes from the sorted
+   runs.
 
 What this enables: the SPARQL layer binds variables to integer IDs and
 decodes only the rows it actually returns, endpoints can serve much

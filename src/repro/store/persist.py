@@ -73,6 +73,8 @@ from array import array
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.errors import SnapshotCorruptError, StoreError
 from repro.store.dictionary import (
     LazyTermDictionary,
@@ -336,15 +338,12 @@ def delta_triple_sections(added, removed) -> List[Tuple[str, bytes]]:
 def _expanded_rows(store):
     """A store's SPO index expanded back to parallel s/p/o row columns.
 
-    The numpy path repeats the CSR key/second runs vectorised; the pure-
-    Python twin streams the index's triple iterator.  Rows come out in
-    SPO order either way.
+    Frozen columns repeat the CSR key/second runs vectorised; a writable
+    index streams its triple iterator.  Rows come out in SPO order either
+    way.
     """
-    from repro.store.triplestore import _numpy
-
-    np = _numpy()
     spo = store._spo
-    if np is not None and isinstance(spo, FrozenIdIndex):
+    if isinstance(spo, FrozenIdIndex):
         keys, key_groups, seconds, group_starts, thirds = (
             np.asarray(column) for column in spo.columns()
         )
@@ -401,7 +400,7 @@ def _apply_deltas(
     that apply), so no link validation happens — sharded per-shard
     deltas deliberately carry no ``base_chain`` stamp.
     """
-    from repro.store.triplestore import TripleStore, _numpy
+    from repro.store.triplestore import TripleStore
 
     deltas = []
     validate = base_chain is not None
@@ -433,7 +432,6 @@ def _apply_deltas(
             dictionary.extend_tail(
                 views["dterms/heap"], offsets, views["dterms/kinds"]
             )
-    np = _numpy()
     total_removed = sum(
         len(_int64_view(views[DELTA_DEL_SECTIONS[0]], DELTA_DEL_SECTIONS[0]))
         for _, views, _ in deltas
@@ -443,28 +441,13 @@ def _apply_deltas(
     if total_removed == 0:
         # Append-only chain: adds are new by journal construction, so the
         # final columns are a plain concatenation.
-        if np is not None:
-            parts = [[np.asarray(s_rows)], [np.asarray(p_rows)], [np.asarray(o_rows)]]
-            for _, views, _ in deltas:
-                for part, column in zip(parts, _delta_columns(views, DELTA_ADD_SECTIONS)):
-                    part.append(np.asarray(column))
-            s_rows, p_rows, o_rows = (np.concatenate(part) for part in parts)
-        else:
-            s_rows, p_rows, o_rows = (
-                array("q", s_rows),
-                array("q", p_rows),
-                array("q", o_rows),
-            )
-            for _, views, _ in deltas:
-                adds = _delta_columns(views, DELTA_ADD_SECTIONS)
-                s_rows.extend(adds[0])
-                p_rows.extend(adds[1])
-                o_rows.extend(adds[2])
+        parts = [[np.asarray(s_rows)], [np.asarray(p_rows)], [np.asarray(o_rows)]]
+        for _, views, _ in deltas:
+            for part, column in zip(parts, _delta_columns(views, DELTA_ADD_SECTIONS)):
+                part.append(np.asarray(column))
+        s_rows, p_rows, o_rows = (np.concatenate(part) for part in parts)
     else:
-        if np is not None:
-            current = set(zip(s_rows.tolist(), p_rows.tolist(), o_rows.tolist()))
-        else:
-            current = set(zip(s_rows, p_rows, o_rows))
+        current = set(zip(s_rows.tolist(), p_rows.tolist(), o_rows.tolist()))
         for _, views, _ in deltas:
             dels = _delta_columns(views, DELTA_DEL_SECTIONS)
             for row in zip(*dels):

@@ -40,6 +40,8 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import StoreError
 from repro.rdf.terms import IRI, Term
 from repro.rdf.triple import Triple, TriplePattern
@@ -51,28 +53,8 @@ from repro.store.stats import (
     predicate_statistics_from_index,
 )
 
-try:  # optional accelerator for the bulk-load column sort (not a hard dep)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
-
-def _numpy():
-    """The numpy module, or ``None`` when missing or disabled.
-
-    The ``REPRO_NO_NUMPY`` environment variable force-disables every numpy
-    fast path in the library (CI exercises the pure-Python fallbacks with
-    it); checking per call keeps the switch effective for tests that set
-    the variable after import.
-    """
-    from repro.obs import config as _config
-
-    if _np is None or _config.numpy_disabled():
-        return None
-    return _np
-
-
-def _ids_array_np(np, column):
+def _ids_array_np(column):
     """``column`` as an int64 ndarray, zero-copy for buffer-backed inputs."""
     if isinstance(column, np.ndarray):
         return np.ascontiguousarray(column, dtype=np.int64)
@@ -81,7 +63,7 @@ def _ids_array_np(np, column):
     return np.fromiter(column, dtype=np.int64, count=len(column))
 
 
-def _csr_from_sorted_np(np, keys_col, seconds_col, thirds_col):
+def _csr_from_sorted_np(keys_col, seconds_col, thirds_col):
     """One permutation's five CSR columns from presorted, deduped columns.
 
     ``(keys_col, seconds_col, thirds_col)`` must already be sorted
@@ -114,25 +96,6 @@ def _csr_from_sorted_np(np, keys_col, seconds_col, thirds_col):
     return keys, key_groups, seconds, group_starts, np.ascontiguousarray(thirds_col)
 
 
-def _csr_from_sorted_rows(rows):
-    """Pure-Python twin of :func:`_csr_from_sorted_np` over sorted tuples."""
-    from itertools import groupby
-
-    keys = array("q")
-    key_groups = array("q", [0])
-    seconds = array("q")
-    group_starts = array("q", [0])
-    thirds = array("q")
-    for key, key_rows in groupby(rows, key=lambda row: row[0]):
-        for second, group_rows in groupby(key_rows, key=lambda row: row[1]):
-            seconds.append(second)
-            thirds.extend(row[2] for row in group_rows)
-            group_starts.append(len(thirds))
-        keys.append(key)
-        key_groups.append(len(seconds))
-    return keys, key_groups, seconds, group_starts, thirds
-
-
 def csr_permutation_sections(subjects: bytes, predicates: bytes, objects: bytes):
     """:meth:`TripleStore._csr_permutations` over raw int64 column bytes.
 
@@ -153,18 +116,14 @@ def csr_permutation_sections(subjects: bytes, predicates: bytes, objects: bytes)
 
 
 def _column_from_bytes(payload: bytes):
-    np = _numpy()
-    if np is not None:
-        return np.frombuffer(payload, dtype=np.int64)
-    column = array("q")
-    column.frombytes(payload)
-    return column
+    return np.frombuffer(payload, dtype=np.int64)
 
 
 def _column_bytes(column) -> bytes:
     return column.tobytes()
 
-#: Below this batch size the pure-Python sort path wins (numpy call overhead).
+#: Below this batch size :meth:`TripleStore.bulk_load_pending` sorts tuples
+#: in Python, which beats numpy's per-call overhead.
 _BULK_NUMPY_MIN = 2048
 
 #: Net journal entries (adds + removes since the last snapshot) beyond
@@ -270,8 +229,8 @@ class TripleStore:
         """Assemble a store straight from parallel dictionary-ID columns.
 
         The streaming construction path for generated worlds: rows are
-        sorted and deduplicated columnwise (numpy when available, a pure-
-        Python fallback otherwise) and the three permutation indexes are
+        sorted and deduplicated columnwise in numpy and the three
+        permutation indexes are
         built as *frozen* CSR columns — no per-fact :class:`Triple`
         objects, no Python containers proportional to the row count.  The
         store starts in the same lazy state a cold-opened snapshot does
@@ -297,33 +256,25 @@ class TripleStore:
         builder also runs it inside worker processes via
         :func:`csr_permutation_sections`.
         """
-        np = _numpy()
-        if np is not None and len(subjects) >= _BULK_NUMPY_MIN:
-            s = _ids_array_np(np, subjects)
-            p = _ids_array_np(np, predicates)
-            o = _ids_array_np(np, objects)
-            order = np.lexsort((o, p, s))
-            s, p, o = s[order], p[order], o[order]
-            if s.size:
-                keep = np.empty(s.size, dtype=bool)
-                keep[0] = True
-                np.not_equal(s[1:], s[:-1], out=keep[1:])
-                keep[1:] |= p[1:] != p[:-1]
-                keep[1:] |= o[1:] != o[:-1]
-                if not keep.all():
-                    s, p, o = s[keep], p[keep], o[keep]
-            pos_order = np.lexsort((s, o, p))
-            osp_order = np.lexsort((p, s, o))
-            return int(s.size), [
-                _csr_from_sorted_np(np, s, p, o),
-                _csr_from_sorted_np(np, p[pos_order], o[pos_order], s[pos_order]),
-                _csr_from_sorted_np(np, o[osp_order], s[osp_order], p[osp_order]),
-            ]
-        rows = sorted(set(zip(subjects, predicates, objects)))
-        return len(rows), [
-            _csr_from_sorted_rows(rows),
-            _csr_from_sorted_rows(sorted((p, o, s) for s, p, o in rows)),
-            _csr_from_sorted_rows(sorted((o, s, p) for s, p, o in rows)),
+        s = _ids_array_np(subjects)
+        p = _ids_array_np(predicates)
+        o = _ids_array_np(objects)
+        order = np.lexsort((o, p, s))
+        s, p, o = s[order], p[order], o[order]
+        if s.size:
+            keep = np.empty(s.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(s[1:], s[:-1], out=keep[1:])
+            keep[1:] |= p[1:] != p[:-1]
+            keep[1:] |= o[1:] != o[:-1]
+            if not keep.all():
+                s, p, o = s[keep], p[keep], o[keep]
+        pos_order = np.lexsort((s, o, p))
+        osp_order = np.lexsort((p, s, o))
+        return int(s.size), [
+            _csr_from_sorted_np(s, p, o),
+            _csr_from_sorted_np(p[pos_order], o[pos_order], s[pos_order]),
+            _csr_from_sorted_np(o[osp_order], s[osp_order], p[osp_order]),
         ]
 
     # ------------------------------------------------------------------ #
@@ -570,10 +521,10 @@ class TripleStore:
                 added.update(pending.keys())
             if len(added) + len(removed) > _JOURNAL_LIMIT:
                 self._journal = None
-        if _numpy() is not None and count >= _BULK_NUMPY_MIN:
-            s_arr = _np.frombuffer(s_col, dtype=_np.int64)
-            p_arr = _np.frombuffer(p_col, dtype=_np.int64)
-            o_arr = _np.frombuffer(o_col, dtype=_np.int64)
+        if count >= _BULK_NUMPY_MIN:
+            s_arr = np.frombuffer(s_col, dtype=np.int64)
+            p_arr = np.frombuffer(p_col, dtype=np.int64)
+            o_arr = np.frombuffer(o_col, dtype=np.int64)
             self._bulk_extend_np(self._spo, s_arr, p_arr, o_arr)
             self._bulk_extend_np(self._pos, p_arr, o_arr, s_arr)
             self._bulk_extend_np(self._osp, o_arr, s_arr, p_arr)
@@ -592,15 +543,15 @@ class TripleStore:
         Python-level work is proportional to the number of groups, not
         entries.
         """
-        order = _np.lexsort((thirds, seconds, keys))
+        order = np.lexsort((thirds, seconds, keys))
         keys = keys[order]
         seconds = seconds[order]
         thirds = thirds[order]
-        change = _np.empty(len(keys), dtype=bool)
+        change = np.empty(len(keys), dtype=bool)
         change[0] = True
-        _np.not_equal(keys[1:], keys[:-1], out=change[1:])
+        np.not_equal(keys[1:], keys[:-1], out=change[1:])
         change[1:] |= seconds[1:] != seconds[:-1]
-        starts = _np.flatnonzero(change)
+        starts = np.flatnonzero(change)
         bounds = starts.tolist()
         bounds.append(len(keys))
         index.bulk_extend_grouped(

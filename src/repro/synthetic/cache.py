@@ -22,8 +22,12 @@ Environment knobs:
 * ``REPRO_WORLD_CACHE`` — relocate the cache root, or disable caching
   entirely with ``0`` / ``off`` / ``none`` / ``disabled`` / the empty
   string.
-* ``REPRO_WORLD_CACHE_LIMIT`` — soft size cap in bytes; after each
-  write, oldest entries (by mtime) are evicted until the cache fits.
+* ``REPRO_WORLD_CACHE_LIMIT`` — soft size cap in bytes (``0`` or unset:
+  no cap); after each write, oldest entries (by mtime) are evicted until
+  the cache fits.
+
+Both are parsed by :mod:`repro.obs.config`, so a malformed cap raises
+:class:`~repro.errors.ConfigError` instead of silently meaning "no cap".
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.errors import SnapshotCorruptError
+from repro.obs import config as _config
 from repro.store import persist
 from repro.store.triplestore import TripleStore
 from repro.synthetic.stream import ScaleWorld, ScaleWorldSpec, generate_scale_world
@@ -45,33 +50,18 @@ from repro.synthetic.stream import ScaleWorld, ScaleWorldSpec, generate_scale_wo
 #: Bumped when the cache layout (manifest fields, entry structure) changes.
 CACHE_FORMAT = 1
 
-#: Values of ``REPRO_WORLD_CACHE`` that disable caching.
-_DISABLED = {"", "0", "off", "none", "disabled"}
-
 _MANIFEST = "manifest.json"
 _SNAPSHOT = "world.snap"
 
 
 def cache_root() -> Optional[Path]:
     """The cache root directory, or ``None`` when caching is disabled."""
-    value = os.environ.get("REPRO_WORLD_CACHE")
-    if value is None:
-        return Path.home() / ".cache" / "repro-worlds"
-    if value.strip().lower() in _DISABLED:
-        return None
-    return Path(value)
+    return _config.world_cache_root()
 
 
 def cache_limit_bytes() -> Optional[int]:
     """The soft cache size cap from ``REPRO_WORLD_CACHE_LIMIT``, if set."""
-    value = os.environ.get("REPRO_WORLD_CACHE_LIMIT")
-    if not value:
-        return None
-    try:
-        limit = int(value)
-    except ValueError:
-        return None
-    return limit if limit > 0 else None
+    return _config.world_cache_limit()
 
 
 def spec_cache_key(spec: ScaleWorldSpec) -> str:

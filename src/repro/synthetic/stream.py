@@ -15,10 +15,10 @@ stateful RNG, so generation is
 
 * **deterministic** — the columns depend only on the spec contents and
   its seed, never on chunk size or backend, and
-* **backend-identical** — the NumPy fast path and the pure-Python
-  fallback (``REPRO_NO_NUMPY=1`` or NumPy absent) emit byte-identical
-  columns, because every draw is the same integer hash mapped through
-  the same correctly-rounded float64 arithmetic.
+* **reproducible by hand** — every draw is one integer hash mapped
+  through correctly-rounded float64 arithmetic, so a scalar loop over
+  :func:`_splitmix64` reproduces the vectorised columns byte for byte
+  (the generator tests keep such a loop as their oracle).
 
 Predicates are drawn from a Zipf-like skewed distribution so the worlds
 have a few heavy predicates (dense joins) and a long selective tail —
@@ -27,23 +27,18 @@ the shape the join-kernel benchmarks care about.
 
 from __future__ import annotations
 
-import bisect
-import os
 import time
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.errors import SyntheticDataError
 from repro.rdf.namespace import Namespace
 from repro.store.dictionary import TermDictionary
 from repro.store.triplestore import TripleStore
 from repro.shard.sharded_store import ShardedTripleStore
-
-try:  # pragma: no cover - exercised via the REPRO_NO_NUMPY suite
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Rows drawn per chunk; bounds the working set independent of world size.
 CHUNK_ROWS = 1 << 20
@@ -59,15 +54,6 @@ SCALE_PRESETS: Dict[str, int] = {
 _MASK64 = (1 << 64) - 1
 
 
-def _numpy():
-    """NumPy, unless absent or disabled via ``REPRO_NO_NUMPY`` (checked per call)."""
-    from repro.obs import config as _config
-
-    if _np is None or _config.numpy_disabled():
-        return None
-    return _np
-
-
 # --------------------------------------------------------------------- #
 # Counter-based hashing (splitmix64)
 # --------------------------------------------------------------------- #
@@ -79,7 +65,7 @@ def _splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def _splitmix64_np(np, values):
+def _splitmix64_np(values):
     """Vectorised splitmix64 over a uint64 array (wrapping arithmetic)."""
     z = values + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -222,7 +208,7 @@ def _intern_vocabulary(
     return entity_ids, predicate_ids
 
 
-def _draw_columns_np(np, spec: ScaleWorldSpec, entity_ids: array, predicate_ids: array):
+def _draw_columns_np(spec: ScaleWorldSpec, entity_ids: array, predicate_ids: array):
     """Chunked vectorised draw of the three ID columns."""
     entities = np.frombuffer(entity_ids, dtype=np.int64)
     predicates = np.frombuffer(predicate_ids, dtype=np.int64)
@@ -236,9 +222,9 @@ def _draw_columns_np(np, spec: ScaleWorldSpec, entity_ids: array, predicate_ids:
     for start in range(0, spec.triples, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, spec.triples)
         counter = np.arange(start, stop, dtype=np.uint64)
-        s_hash = _splitmix64_np(np, counter + bases[0])
-        p_hash = _splitmix64_np(np, counter + bases[1])
-        o_hash = _splitmix64_np(np, counter + bases[2])
+        s_hash = _splitmix64_np(counter + bases[0])
+        p_hash = _splitmix64_np(counter + bases[1])
+        o_hash = _splitmix64_np(counter + bases[2])
         subjects[start:stop] = entities[
             (s_hash % np.uint64(spec.entities)).astype(np.int64)
         ]
@@ -252,28 +238,6 @@ def _draw_columns_np(np, spec: ScaleWorldSpec, entity_ids: array, predicate_ids:
             np.searchsorted(thresholds, uniform, side="right"), top
         )
         predicate_col[start:stop] = predicates[slots]
-    return subjects, predicate_col, objects
-
-
-def _draw_columns_py(spec: ScaleWorldSpec, entity_ids: array, predicate_ids: array):
-    """Pure-Python twin of :func:`_draw_columns_np` (identical output)."""
-    thresholds = spec.predicate_thresholds()
-    bases = [_stream_base(spec.seed, column) for column in range(3)]
-    top = spec.predicates - 1
-    entity_count = spec.entities
-
-    subjects = array("q")
-    predicate_col = array("q")
-    objects = array("q")
-    for index in range(spec.triples):
-        s_hash = _splitmix64((bases[0] + index) & _MASK64)
-        p_hash = _splitmix64((bases[1] + index) & _MASK64)
-        o_hash = _splitmix64((bases[2] + index) & _MASK64)
-        subjects.append(entity_ids[s_hash % entity_count])
-        objects.append(entity_ids[o_hash % entity_count])
-        uniform = p_hash / 2**64
-        slot = min(bisect.bisect_right(thresholds, uniform), top)
-        predicate_col.append(predicate_ids[slot])
     return subjects, predicate_col, objects
 
 
@@ -308,12 +272,7 @@ def generate_scale_world(
     started = time.perf_counter()
     term_dictionary = dictionary if dictionary is not None else TermDictionary()
     entity_ids, predicate_ids = _intern_vocabulary(spec, term_dictionary)
-    np = _numpy()
-    if np is not None:
-        columns = _draw_columns_np(np, spec, entity_ids, predicate_ids)
-    else:
-        columns = _draw_columns_py(spec, entity_ids, predicate_ids)
-    subjects, predicate_col, objects = columns
+    subjects, predicate_col, objects = _draw_columns_np(spec, entity_ids, predicate_ids)
     if shard_count is not None:
         store: Union[TripleStore, ShardedTripleStore] = ShardedTripleStore.from_id_columns(
             term_dictionary,

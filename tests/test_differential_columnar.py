@@ -35,8 +35,6 @@ NS = "http://diffcol.test/"
 INT = f"<{XSD_INTEGER}>"
 DOUBLE = f"<{XSD_DOUBLE}>"
 
-KERNELS = kernels.kernels_available()
-
 
 def _dataset():
     """Subjects with IRI, blank-node and literal objects on ``p`` and ``q``.
@@ -222,8 +220,7 @@ def _assert_same_rows(stores, query, engaged):
         assert actual.rows == expected.rows, (label, query)
         scalar = QueryEvaluator(store, use_vectorized=False).evaluate(query)
         assert actual.rows == scalar.rows, (label, query)
-        if KERNELS:
-            assert _columnar_finishes(evaluator, query) is engaged, (label, query)
+        assert _columnar_finishes(evaluator, query) is engaged, (label, query)
 
 
 @pytest.fixture(params=[None, 3], ids=["one-block", "tiny-blocks"])

@@ -14,8 +14,8 @@ stores.  The cases cover offset 0, offsets at every shard boundary and
 never binds, a constant missing from the dictionary, and shapes the page
 step must decline (repeated variable, DISTINCT).
 
-The tier-1 job runs this on the columnar path; the ``REPRO_NO_NUMPY=1``
-job re-runs it on the per-row path.
+Every thread-backend setup also runs with ``use_vectorized=False``
+(labels ending ``-per-row``), so the per-row path answers the same cases.
 """
 
 import multiprocessing
@@ -105,7 +105,8 @@ def _query(pattern, projection, offset, limit, distinct=False):
 @pytest.fixture(scope="module")
 def setups(tmp_path_factory):
     """``(label, sharded store, evaluator)`` for every shard count x
-    backend x warm/cold-mmap parent store (one worker pool per count)."""
+    backend (thread, thread per-row, process) x warm/cold-mmap parent
+    store (one worker pool per count)."""
     triples = _triples()
     root = tmp_path_factory.mktemp("diffpages")
     with ExitStack() as stack:
@@ -122,6 +123,13 @@ def setups(tmp_path_factory):
             for kind, store in (("warm", warm), ("cold-mmap", cold)):
                 found.append(
                     (f"thread-{count}-{kind}", store, ShardedQueryEvaluator(store))
+                )
+                found.append(
+                    (
+                        f"thread-{count}-{kind}-per-row",
+                        store,
+                        ShardedQueryEvaluator(store, use_vectorized=False),
+                    )
                 )
                 found.append(
                     (

@@ -20,8 +20,8 @@ to the anchor's row count (the seed/scan boundary), and chains
 re-entered under OPTIONAL / EXISTS, where the initial binding already
 pins a join variable.
 
-The tier-1 job runs this on the columnar path; the ``REPRO_NO_NUMPY=1``
-job re-runs it on the per-row path.
+Every thread-backend setup also runs with ``use_vectorized=False``
+(labels ending ``-per-row``), so the per-row path answers the same cases.
 """
 
 import multiprocessing
@@ -176,7 +176,8 @@ def reference():
 @pytest.fixture(scope="module")
 def setups(tmp_path_factory):
     """``(label, sharded store, evaluator)`` for every shard count x
-    backend x warm/cold-mmap parent store (one worker pool per count)."""
+    backend (thread, thread per-row, process) x warm/cold-mmap parent
+    store (one worker pool per count)."""
     triples = _triples()
     root = tmp_path_factory.mktemp("diffship")
     with ExitStack() as stack:
@@ -191,6 +192,13 @@ def setups(tmp_path_factory):
             for kind, store in (("warm", warm), ("cold-mmap", cold)):
                 found.append(
                     (f"thread-{count}-{kind}", store, ShardedQueryEvaluator(store))
+                )
+                found.append(
+                    (
+                        f"thread-{count}-{kind}-per-row",
+                        store,
+                        ShardedQueryEvaluator(store, use_vectorized=False),
+                    )
                 )
                 found.append(
                     (

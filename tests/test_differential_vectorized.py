@@ -295,8 +295,6 @@ class TestColumnarFinish:
             )
 
     def test_merge_probe_and_cross_plans_finish_in_columns(self, tmp_path):
-        if not kernels.kernels_available():
-            pytest.skip("block kernels disabled (REPRO_NO_NUMPY or no numpy)")
         ex = Namespace("http://finish.test/")
         triples = []
         for index in range(4600):  # > one block, so DISTINCT spans blocks

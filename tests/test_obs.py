@@ -74,21 +74,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be >= 1"):
             config.env_int("REPRO_TEST_INT", 7, minimum=1)
 
-    def test_env_flag_vocabulary(self, monkeypatch):
-        for raw in ("1", "true", "YES", " on "):
-            monkeypatch.setenv("REPRO_TEST_FLAG", raw)
-            assert config.env_flag("REPRO_TEST_FLAG") is True, raw
-        for raw in ("0", "false", "No", "off", ""):
-            monkeypatch.setenv("REPRO_TEST_FLAG", raw)
-            assert config.env_flag("REPRO_TEST_FLAG") is False, raw
-        monkeypatch.delenv("REPRO_TEST_FLAG", raising=False)
-        assert config.env_flag("REPRO_TEST_FLAG", default=True) is True
-
-    def test_env_flag_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_FLAG", "maybe")
-        with pytest.raises(ConfigError, match="REPRO_TEST_FLAG"):
-            config.env_flag("REPRO_TEST_FLAG")
-
     def test_env_path(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_PATH", raising=False)
         assert config.env_path("REPRO_TEST_PATH") is None
@@ -104,12 +89,10 @@ class TestConfig:
         monkeypatch.setenv("REPRO_BROADCAST_LIMIT", "-1")
         with pytest.raises(ConfigError, match="REPRO_BROADCAST_LIMIT"):
             config.broadcast_limit()
-        # "0" previously meant *enabled* for REPRO_NO_NUMPY (any
-        # non-empty string); it now parses as a proper boolean.
-        monkeypatch.setenv("REPRO_NO_NUMPY", "0")
-        assert config.numpy_disabled() is False
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert config.numpy_disabled() is True
+        # A malformed cache cap used to mean "no cap" silently.
+        monkeypatch.setenv("REPRO_WORLD_CACHE_LIMIT", "10GB")
+        with pytest.raises(ConfigError, match="REPRO_WORLD_CACHE_LIMIT"):
+            config.world_cache_limit()
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         assert config.trace_path() is None
 

@@ -298,16 +298,3 @@ class TestShardedFromIdColumns:
         assert sorted(
             triple for shard in inline.shards for triple in shard.match_ids()
         ) == sorted(triple for shard in parallel.shards for triple in shard.match_ids())
-
-    def test_pure_python_fallback_matches(self, monkeypatch):
-        dictionary, subjects, predicates, objects = self._columns()
-        fast = ShardedTripleStore.from_id_columns(
-            dictionary, subjects, predicates, objects, num_shards=3
-        )
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        slow = ShardedTripleStore.from_id_columns(
-            dictionary, subjects, predicates, objects, num_shards=3
-        )
-        assert sorted(
-            triple for shard in fast.shards for triple in shard.match_ids()
-        ) == sorted(triple for shard in slow.shards for triple in shard.match_ids())

@@ -26,10 +26,6 @@ from repro.store.triplestore import TripleStore
 
 EX = Namespace("http://vec.test/")
 
-requires_kernels = pytest.mark.skipif(
-    not kernels.kernels_available(), reason="NumPy unavailable or disabled"
-)
-
 
 def chain_store(size: int = 200) -> TripleStore:
     """A store where p0/p1/p2 chain into multi-pattern joins."""
@@ -102,7 +98,6 @@ class TestVectorizedAgainstScalar:
 
 
 class TestEngagementAndFallback:
-    @requires_kernels
     def test_kernels_engage_on_chain_join(self):
         store = chain_store()
         evaluator = QueryEvaluator(store)
@@ -115,7 +110,6 @@ class TestEngagementAndFallback:
         assert stream is not None
         assert sum(1 for _ in stream) > 0
 
-    @requires_kernels
     def test_repeated_variable_pattern_not_vectorized(self):
         store = chain_store()
         patterns = [TriplePatternNode(Variable("a"), EX.p0, Variable("a"))]
@@ -125,16 +119,6 @@ class TestEngagementAndFallback:
     def test_use_vectorized_flag_disables_kernels(self):
         evaluator = QueryEvaluator(chain_store(), use_vectorized=False)
         assert evaluator._use_vectorized is False
-
-    def test_no_numpy_env_disables_kernels(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert not kernels.kernels_available()
-        store = chain_store()
-        evaluator = QueryEvaluator(store)
-        assert evaluator._use_vectorized is False
-        query = parse_query(QUERIES[0])
-        scalar = _multiset(QueryEvaluator(store, use_vectorized=False).evaluate(query))
-        assert _multiset(evaluator.evaluate(query)) == scalar
 
     def test_plan_records_build_estimates(self):
         store = chain_store()

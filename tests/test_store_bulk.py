@@ -278,10 +278,3 @@ class TestFromIdColumns:
         store = TripleStore.from_id_columns("empty", TermDictionary(), [], [], [])
         assert len(store) == 0
         assert list(store.match_ids()) == []
-
-    def test_pure_python_fallback_matches(self, monkeypatch):
-        dictionary, _, subjects, predicates, objects = self._columns()
-        fast = TripleStore.from_id_columns("cols", dictionary, subjects, predicates, objects)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        slow = TripleStore.from_id_columns("cols", dictionary, subjects, predicates, objects)
-        assert sorted(slow.match_ids()) == sorted(fast.match_ids())

@@ -1,5 +1,8 @@
 """Tests for the streaming scale-world generator."""
 
+import bisect
+from array import array
+
 import pytest
 
 from repro.errors import SyntheticDataError
@@ -7,15 +10,40 @@ from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.scatter import ShardedQueryEvaluator
 from repro.store.dictionary import TermDictionary
 from repro.synthetic.stream import (
+    _MASK64,
     SCALE_PRESETS,
     ScaleWorldSpec,
-    _draw_columns_py,
+    _draw_columns_np,
     _intern_vocabulary,
+    _splitmix64,
+    _stream_base,
     generate_scale_world,
     scale_world_spec,
 )
 
 SPEC = scale_world_spec(3000)
+
+
+def _draw_columns_py(spec, entity_ids, predicate_ids):
+    """Scalar oracle for :func:`_draw_columns_np`: one splitmix64 draw per
+    row and column, mapped through the same float64 arithmetic."""
+    thresholds = spec.predicate_thresholds()
+    bases = [_stream_base(spec.seed, column) for column in range(3)]
+    top = spec.predicates - 1
+
+    subjects = array("q")
+    predicate_col = array("q")
+    objects = array("q")
+    for index in range(spec.triples):
+        s_hash = _splitmix64((bases[0] + index) & _MASK64)
+        p_hash = _splitmix64((bases[1] + index) & _MASK64)
+        o_hash = _splitmix64((bases[2] + index) & _MASK64)
+        subjects.append(entity_ids[s_hash % spec.entities])
+        objects.append(entity_ids[o_hash % spec.entities])
+        uniform = p_hash / 2**64
+        slot = min(bisect.bisect_right(thresholds, uniform), top)
+        predicate_col.append(predicate_ids[slot])
+    return subjects, predicate_col, objects
 
 
 class TestSpec:
@@ -75,15 +103,12 @@ class TestGeneration:
         assert world.triples > SPEC.triples * 0.99
 
     def test_numpy_and_pure_python_columns_identical(self):
-        np = pytest.importorskip("numpy")
-        from repro.synthetic.stream import _draw_columns_np
-
         dictionary = TermDictionary()
         entity_ids, predicate_ids = _intern_vocabulary(SPEC, dictionary)
-        fast = _draw_columns_np(np, SPEC, entity_ids, predicate_ids)
+        fast = _draw_columns_np(SPEC, entity_ids, predicate_ids)
         slow = _draw_columns_py(SPEC, entity_ids, predicate_ids)
         for fast_column, slow_column in zip(fast, slow):
-            assert list(fast_column) == list(slow_column)
+            assert fast_column.tobytes() == slow_column.tobytes()
 
     def test_predicates_are_skewed(self):
         world = generate_scale_world(SPEC)

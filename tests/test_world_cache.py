@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.synthetic.cache import (
     CACHE_FORMAT,
     cache_limit_bytes,
@@ -111,10 +112,13 @@ class TestEnvironmentKnobs:
     def test_limit_parsing(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORLD_CACHE_LIMIT", "12345")
         assert cache_limit_bytes() == 12345
-        monkeypatch.setenv("REPRO_WORLD_CACHE_LIMIT", "junk")
-        assert cache_limit_bytes() is None
-        monkeypatch.setenv("REPRO_WORLD_CACHE_LIMIT", "-1")
-        assert cache_limit_bytes() is None
+        for no_cap in ("0", " "):
+            monkeypatch.setenv("REPRO_WORLD_CACHE_LIMIT", no_cap)
+            assert cache_limit_bytes() is None
+        for malformed in ("junk", "-1"):
+            monkeypatch.setenv("REPRO_WORLD_CACHE_LIMIT", malformed)
+            with pytest.raises(ConfigError, match="REPRO_WORLD_CACHE_LIMIT"):
+                cache_limit_bytes()
 
 
 class TestEviction:
