@@ -10,6 +10,7 @@ log export and ``WaveScheduler.wave_report()``.
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +74,15 @@ class TestConfig:
         monkeypatch.setenv("REPRO_TEST_INT", "0")
         with pytest.raises(ConfigError, match="must be >= 1"):
             config.env_int("REPRO_TEST_INT", 7, minimum=1)
+
+    def test_world_cache_root_vocabulary(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_WORLD_CACHE", raising=False)
+        assert config.world_cache_root() == Path.home() / ".cache" / "repro-worlds"
+        for off in ("", "0", "OFF", " none ", "Disabled"):
+            monkeypatch.setenv("REPRO_WORLD_CACHE", off)
+            assert config.world_cache_root() is None, off
+        monkeypatch.setenv("REPRO_WORLD_CACHE", str(tmp_path))
+        assert config.world_cache_root() == tmp_path
 
     def test_env_path(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_PATH", raising=False)

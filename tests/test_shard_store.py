@@ -298,3 +298,15 @@ class TestShardedFromIdColumns:
         assert sorted(
             triple for shard in inline.shards for triple in shard.match_ids()
         ) == sorted(triple for shard in parallel.shards for triple in shard.match_ids())
+
+    def test_pure_python_fallback_matches(self):
+        # Route each deduplicated row by hand: every shard must hold
+        # exactly the rows whose subject falls in its range, no more.
+        dictionary, subjects, predicates, objects = self._columns()
+        sharded = ShardedTripleStore.from_id_columns(
+            dictionary, subjects, predicates, objects, num_shards=3
+        )
+        expected = [[] for _ in sharded.shards]
+        for triple in sorted(set(zip(subjects, predicates, objects))):
+            expected[sharded.shard_index_for_subject(triple[0])].append(triple)
+        assert [sorted(shard.match_ids()) for shard in sharded.shards] == expected

@@ -120,6 +120,16 @@ class TestEngagementAndFallback:
         evaluator = QueryEvaluator(chain_store(), use_vectorized=False)
         assert evaluator._use_vectorized is False
 
+    def test_kernels_engage_by_default(self, monkeypatch):
+        # REPRO_NO_NUMPY is retired: setting it no longer turns kernels off.
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        store = chain_store()
+        evaluator = QueryEvaluator(store)
+        assert evaluator._use_vectorized is True
+        query = parse_query(QUERIES[0])
+        scalar = _multiset(QueryEvaluator(store, use_vectorized=False).evaluate(query))
+        assert _multiset(evaluator.evaluate(query)) == scalar
+
     def test_plan_records_build_estimates(self):
         store = chain_store()
         patterns = [

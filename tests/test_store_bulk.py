@@ -278,3 +278,32 @@ class TestFromIdColumns:
         store = TripleStore.from_id_columns("empty", TermDictionary(), [], [], [])
         assert len(store) == 0
         assert list(store.match_ids()) == []
+
+    def test_pure_python_fallback_matches(self):
+        # The numpy CSR build against a plain-Python sort-and-dedup of the
+        # same columns: every index shape must see the same rows.
+        dictionary, _, subjects, predicates, objects = self._columns()
+        store = TripleStore.from_id_columns("cols", dictionary, subjects, predicates, objects)
+        expected = sorted(set(zip(subjects, predicates, objects)))
+        assert sorted(store.match_ids()) == expected
+        for s in set(subjects):
+            assert sorted(store.match_ids(subject=s)) == [t for t in expected if t[0] == s]
+        for p in set(predicates):
+            assert sorted(store.match_ids(predicate=p)) == [t for t in expected if t[1] == p]
+        for o in set(objects):
+            assert sorted(store.match_ids(object=o)) == [t for t in expected if t[2] == o]
+
+    def test_numpy_columns_match_list_columns(self):
+        import numpy as np
+
+        dictionary, _, subjects, predicates, objects = self._columns()
+        from_lists = TripleStore.from_id_columns("cols", dictionary, subjects, predicates, objects)
+        from_arrays = TripleStore.from_id_columns(
+            "cols",
+            dictionary,
+            np.asarray(subjects, dtype=np.int64),
+            np.asarray(predicates, dtype=np.int64),
+            np.asarray(objects, dtype=np.int64),
+        )
+        assert list(from_arrays.match_ids()) == list(from_lists.match_ids())
+        assert len(from_arrays) == len(from_lists)
