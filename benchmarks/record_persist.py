@@ -10,14 +10,16 @@ YAGO-like/DBpedia-like pair):
   is the headline number; the acceptance gate requires >= 5x.
 * **First-query latency** — ``first_join_cold_ms``: the first planned
   3-pattern join on a freshly cold-opened store (lazy dictionary probes,
-  frozen-index bisects, first-page faults and all) vs
-  ``first_join_warm_ms``: the same join on the warm store with a fresh
-  evaluator (plan cache cold).  The gate requires the ratio <= 1.5.
+  mmap'd index bisects, first-page faults and all) vs
+  ``first_join_warm_ms``: the same join on the warm store — the
+  bulk-loaded generated store, whose CSR index bases are in memory —
+  with a fresh evaluator (plan cache cold).  The gate requires the
+  ratio <= 1.5.
 * **Resident memory** — ``rss_cold_open_kb`` vs
   ``rss_full_materialise_kb``: VmRSS of a subprocess that cold-opens the
   snapshot and runs one join, vs one that loads the same snapshot into
-  memory and promotes everything to the writable representation (the
-  in-memory store's footprint).
+  memory (``mmap=False``) and materialises the Triple maps and the
+  interning map (the in-memory store's footprint).
 * **Sharded snapshots** — save/open round-trip times for the 4-shard
   layout (shared dictionary file + per-shard columns).
 
@@ -108,9 +110,10 @@ from repro.store.triplestore import TripleStore
 
 store = TripleStore.open({snap!r}, mmap={use_mmap})
 if {materialise}:
-    # Promote everything: writable indexes, interning map, Triple maps —
-    # the footprint of the in-memory representation.
-    store._ensure_writable()
+    # Materialise everything besides the in-memory index columns: the
+    # Triple maps and the interning map — the footprint of the in-memory
+    # representation.
+    store._ensure_triples()
     _ = store.dictionary.ids_map
 else:
     # Cold path: run the join once so the measurement includes the pages

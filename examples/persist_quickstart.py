@@ -6,8 +6,8 @@ reopens it *cold* — no re-interning, no re-sorting — and shows that
 * opening is orders of magnitude faster than rebuilding the store,
 * the very first planned query works on the cold store (the planner and
   join operators read the same index bookkeeping off the mmap'd columns),
-* the first mutation transparently promotes the store back to the
-  writable in-memory form,
+* a mutation goes to the index overlays, and the next save folds them
+  back into fresh CSR columns,
 
 then does the same for a sharded store (one shared dictionary file, one
 columns file per shard).
@@ -57,18 +57,21 @@ def main() -> None:
     print(f"columnar rebuild: {rebuild_ms:.1f} ms | cold open: {open_ms:.2f} ms "
           f"({rebuild_ms / open_ms:.0f}x faster)")
 
-    # The cold store answers planned queries immediately: frozen columns
-    # satisfy the same count/run bookkeeping the planner reads.
+    # The cold store answers planned queries immediately: the mapped CSR
+    # columns satisfy the same count/run bookkeeping the planner reads.
     relation = max(kb.relations(), key=lambda info: info.fact_count).iri
     count = cold.count(predicate=relation)
     print(f"cold store: COUNT({relation.local_name}) = {count} "
           f"(frozen={cold.is_frozen})")
 
-    # First mutation promotes transparently (copy-on-write, the file is
-    # never touched).
+    # A mutation goes to the index overlays (the file is never touched):
+    # the store is no longer frozen until a save folds the overlays back
+    # into fresh CSR columns.
     subject = next(iter(cold.subjects()))
     cold.add(Triple(subject, relation, Literal("new fact")))
     print(f"after one add: frozen={cold.is_frozen}, size={len(cold)}")
+    cold.save(workdir / "after-add.snap")
+    print(f"after save: frozen={cold.is_frozen}")
 
     # ---------------------------------------------------------------- #
     # A whole KB (store + namespace + name) round-trips through a

@@ -5,7 +5,7 @@ The script walks the full large-world loop this repo's benchmarks use:
 * **generate** — :func:`generate_scale_world` streams dictionary ID
   columns straight into the columnar bulk loader; no per-fact ``Triple``
   objects exist at any point, so a million facts build in a second or
-  two and the store arrives frozen (snapshot-grade indexes).
+  two and the store arrives frozen (CSR indexes with no pending writes).
 * **cache** — :func:`load_or_generate` keys an on-disk snapshot on the
   spec hash; the second lookup reopens it via mmap instead of
   regenerating (relocate or disable with ``REPRO_WORLD_CACHE``).

@@ -18,8 +18,8 @@ Three pieces, bottom to top:
    range** into ``num_shards`` plain :class:`TripleStore` shards that
    share one :class:`~repro.store.TermDictionary` (one global ID space).
    The first bulk load freezes near-equal range boundaries and each shard
-   is built through the store's columnar ``bulk_extend_grouped`` path on
-   its own partition — on a thread pool, since the numpy column sort
+   builds its CSR index bases from its own partition through the store's
+   one write path — on a thread pool, since the numpy column sort
    releases the GIL.  Invariants: routing is a single bisect, subject
    sets are disjoint across shards, and shard ranges are contiguous and
    increasing, so per-shard sorted subject runs concatenate into globally

@@ -454,10 +454,10 @@ class ShardedTripleStore:
         name: str, dictionary: TermDictionary, sections
     ) -> TripleStore:
         """One shard store over the 15 CSR column payloads a worker built."""
-        from repro.store.index import FrozenIdIndex
+        from repro.store.index import PermutationIndex
 
         indexes = [
-            FrozenIdIndex(*[memoryview(payload).cast("q") for payload in columns])
+            PermutationIndex(*[memoryview(payload).cast("q") for payload in columns])
             for columns in sections
         ]
         return TripleStore._from_snapshot(name, dictionary, *indexes)
@@ -641,9 +641,9 @@ class ShardedTripleStore:
         Terms are interned once through the shared dictionary (serially —
         interning mutates the dictionary), the batch is partitioned by
         routed subject ID, and each shard then runs its own
-        :meth:`TripleStore.bulk_load` — the per-range
-        ``bulk_extend_grouped`` sort-once path — on an independent
-        partition.  With ``parallel`` (default when there is more than one
+        :meth:`TripleStore.bulk_load` — the per-range write path, which
+        rebuilds a shard's CSR bases in numpy when the batch is large — on
+        an independent partition.  With ``parallel`` (default when there is more than one
         non-empty partition) the per-shard loads run on a thread pool; the
         numpy column sort releases the GIL, so shard builds genuinely
         overlap.  Returns the number of new triples.

@@ -263,7 +263,7 @@ def _restrict_solutions(
 def _worker_diagnostics(worker_index, stores, dictionary, tasks_served) -> dict:
     """The payload of a ``pong`` reply: liveness plus the invariants the
     no-re-intern property tests assert (lazy dictionary never promoted,
-    shard indexes never thawed copy-on-write)."""
+    no shard index holding unfolded mutations)."""
     return {
         "pid": os.getpid(),
         "worker": worker_index,
@@ -1259,8 +1259,9 @@ class ProcessShardExecutor:
 
         Returns the worker's diagnostics: pid, served shards, per-shard
         triple counts, whether its lazy dictionary was ever promoted and
-        whether any shard index thawed copy-on-write (both must stay
-        ``False`` on a healthy read-only worker).
+        whether each shard's indexes are still frozen (no unfolded
+        mutations; a healthy read-only worker stays unpromoted and
+        frozen).
         """
         stream = self._dispatch(shard_index, "ping")
         deadline = time.monotonic() + timeout

@@ -9,9 +9,9 @@ operations over the very same CSR columns the indexes already keep:
 
 * **Scan** — a pattern's whole match set materialises as parallel int64
   columns straight off the index (``sorted_run_ids`` for two-constant
-  patterns, :meth:`~repro.store.index.FrozenIdIndex.key_columns` for
-  one-constant, the full five-column CSR for zero-constant), then streams
-  out in bounded blocks.
+  patterns, :meth:`~repro.store.index.PermutationIndex.key_columns` for
+  one-constant, :meth:`~repro.store.index.PermutationIndex.rows` for
+  zero-constant), then streams out in bounded blocks.
 * **Merge** — the sort-merge semi-join becomes one ``np.searchsorted``
   probe of the block's join column against the pattern's sorted run.
 * **Probe** — hash joins on a single shared variable (and ``nested``
@@ -53,13 +53,13 @@ How the blocks leave the kernels depends on the query:
 
 Both orders are the same: blocks in stream order, rows in block order,
 DISTINCT keeping first occurrences, and each seed row's matches in index
-order, just as the per-row operators visit them.  That holds on every
-index form because warm, CSR and frozen indexes all iterate keys and
-seconds in ascending ID order.  The pinned Table 1 relies on it.
+order, just as the per-row operators visit them.  That holds because
+every index iterates keys, seconds and thirds in ascending ID order, with
+or without pending overlay entries.  The pinned Table 1 relies on it.
 
-The kernels are generic over index forms: warm ``array('q')`` columns,
-frozen snapshot ``memoryview`` windows (mmap included) and sharded
-stores (per-shard columns concatenate; subject-range partitioning keeps
+The kernels run on any store: the index columns are ``memoryview``
+windows (over numpy arrays, bytes or an mmap) or merged runs, and sharded
+stores concatenate per-shard columns (subject-range partitioning keeps
 concatenated subject runs sorted).  Evaluators built with
 ``use_vectorized=False`` skip them and keep the per-row operators.
 """
@@ -76,7 +76,6 @@ from repro.sparql.ast import FilterNode, TriplePatternNode, ValuesNode
 from repro.sparql.bindings import Binding, IdBinding, Variable
 from repro.sparql.plan import HASH, MERGE, NESTED, SCAN, BGPPlan, PlanStep
 from repro.store.dictionary import KIND_LITERAL
-from repro.store.index import ColumnView
 
 #: Rows per emitted block: large enough to amortise per-block Python,
 #: small enough that ASK / LIMIT early exits waste little work.
@@ -125,13 +124,10 @@ class ColumnarPlan(NamedTuple):
 def _as_array(run):
     """``run`` as an int64 ndarray, zero-copy for buffer-backed forms.
 
-    Accepts every third-level run container the store hands out: the
-    writable index's ``SortedList``, the frozen index's :class:`ColumnView`
-    / raw ``memoryview`` (bytes- or mmap-backed), ``array('q')`` columns,
-    and plain sequences.
+    Accepts every run container the store hands out: the index's
+    ``memoryview`` windows (over numpy arrays, bytes or an mmap),
+    ``array('q')`` columns, ndarrays, and the empty tuple of an absent run.
     """
-    if isinstance(run, ColumnView):
-        return _np.frombuffer(run.mv, dtype=_np.int64)
     if isinstance(run, (memoryview, array)):
         return _np.frombuffer(run, dtype=_np.int64)
     if isinstance(run, _np.ndarray):
@@ -199,29 +195,15 @@ def _pattern_columns(store, consts) -> Tuple[int, List]:
         seconds, bounds, thirds = store._osp.key_columns(o)
         second_col, third_col = _expand_key(seconds, bounds, thirds)
         return third_col.size, [second_col, third_col]  # [s, p]
-    # Zero constants: the full SPO CSR expands to three columns.
-    index = store._spo
-    if hasattr(index, "columns"):
-        keys, key_groups, seconds, group_starts, thirds = index.columns()
-    else:
-        keys, key_groups, seconds, group_starts, thirds = index.csr_columns()
-    keys = _as_array(keys)
-    key_groups = _as_array(key_groups)
-    seconds = _as_array(seconds)
-    group_starts = _as_array(group_starts)
-    thirds = _as_array(thirds)
-    if not thirds.size:
-        return 0, _empty_cols(3)
-    per_key = group_starts[key_groups[1:]] - group_starts[key_groups[:-1]]
-    s_col = _np.repeat(keys, per_key)
-    p_col = _np.repeat(seconds, _np.diff(group_starts))
-    return thirds.size, [s_col, p_col, thirds]
+    # Zero constants: the whole SPO index as three sorted columns.
+    s_col, p_col, o_col = store._spo.rows()
+    return o_col.size, [s_col, p_col, o_col]
 
 
 def _expand_key(seconds, bounds, thirds):
     """Expand one key's ``key_columns`` runs to aligned (second, third)
-    columns.  ``bounds`` may carry absolute snapshot offsets (the frozen
-    index's zero-copy windows); only the deltas matter here."""
+    columns.  ``bounds`` may carry absolute base offsets (an untouched
+    key's zero-copy windows); only the deltas matter here."""
     seconds = _as_array(seconds)
     bounds = _as_array(bounds)
     thirds = _as_array(thirds)

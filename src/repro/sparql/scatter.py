@@ -358,7 +358,9 @@ class ShardedQueryEvaluator(QueryEvaluator):
     store:
         The sharded dataset.
     use_planner:
-        Forwarded to the per-shard and merged-view evaluators.
+        Forwarded to the per-shard and merged-view evaluators of the
+        thread backend.  The process backend's workers always plan, so it
+        rejects ``False`` (``ValueError``).
     backend:
         ``"thread"`` (default) evaluates scattered groups in-process
         against per-shard local evaluators, lazily chained — waves get
@@ -374,9 +376,12 @@ class ShardedQueryEvaluator(QueryEvaluator):
         :meth:`~repro.shard.sharded_store.ShardedTripleStore.serve`).
         Required — and only meaningful — when ``backend="process"``.
     use_vectorized:
-        Forwarded to the per-shard and merged-view evaluators: the block
-        join kernels run both on the global-gather path (per-shard columns
-        concatenate) and inside each shard-local evaluator.
+        Forwarded to the per-shard and merged-view evaluators of the
+        thread backend: the block join kernels run both on the
+        global-gather path (per-shard columns concatenate) and inside each
+        shard-local evaluator.  The process backend's workers always run
+        the kernels, so it rejects ``False`` (``ValueError``); the thread
+        backend stays the per-row reference.
     """
 
     def __init__(
@@ -395,6 +400,12 @@ class ShardedQueryEvaluator(QueryEvaluator):
         if backend not in ("thread", "process"):
             raise ValueError(f"backend must be 'thread' or 'process', got {backend!r}")
         if backend == "process":
+            if not (use_planner and use_vectorized):
+                raise ValueError(
+                    "backend='process' workers always run the planner and "
+                    "the block kernels; use backend='thread' with "
+                    "use_planner=False or use_vectorized=False"
+                )
             if executor is None:
                 raise ValueError(
                     "backend='process' requires a ProcessShardExecutor "

@@ -12,14 +12,14 @@ The storage substrate has three layers, bottom to top:
    entity?" without materialising the term.
 
 2. **ID indexes** (:mod:`repro.store.index`).  Three
-   :class:`IdTripleIndex` permutations (SPO, POS, OSP) map
-   ``key -> second -> sorted array of thirds`` over plain ints, giving
+   :class:`PermutationIndex` permutations (SPO, POS, OSP) map
+   ``key -> second -> sorted thirds`` over plain ints, giving
    constant-time dispatch for all eight triple-pattern shapes, bisect
-   membership tests, deterministic sorted iteration, and the sorted runs
-   the SPARQL planner's merge joins stream (``sorted_thirds``).  Each
-   index can also be **bulk-built from presorted runs**
-   (``bulk_extend`` / ``bulk_extend_grouped``) instead of one insertion
-   per entry.
+   membership tests, deterministic ascending iteration, and the sorted
+   runs the SPARQL planner's merge joins stream (``sorted_thirds``).
+   Each is an immutable CSR base of five sorted int64 columns plus a
+   small per-key overlay of added and removed entries; the store folds
+   the overlay into a fresh base, sorted in numpy, once it grows.
 
 3. **Store facade** (:mod:`repro.store.triplestore`).
    :class:`TripleStore` keeps the public Term-in/Term-out API unchanged
@@ -29,10 +29,8 @@ The storage substrate has three layers, bottom to top:
    to join on integers and stream solutions without building Term
    objects, and that every pattern-shape count is answered from index
    bookkeeping alone.  :meth:`TripleStore.bulk_load` is the columnar
-   construction fast path (:mod:`repro.store.bulk`): batch-intern,
-   accumulate ``array('q')`` ID columns, sort once per index order
-   (in numpy for large batches) and build the indexes from the sorted
-   runs.
+   construction fast path (:mod:`repro.store.bulk`): batch-intern, then
+   build the CSR bases with one numpy sort per index order.
 
 What this enables: the SPARQL layer binds variables to integer IDs and
 decodes only the rows it actually returns, endpoints can serve much
@@ -43,19 +41,18 @@ on a compact integer substrate instead of hashed Term objects.
 Statistics (:mod:`repro.store.stats`) are likewise computed in ID space
 from the POS permutation plus dictionary kind bytes.
 
-Persistence (:mod:`repro.store.persist`) adds a second, on-disk
-representation of layers 1 and 2: a versioned, checksummed snapshot that
-``TripleStore.save`` writes and ``TripleStore.open`` maps back in
-read-only — the dictionary becomes a lazily decoding
-:class:`LazyTermDictionary` over the string heap and each index order a
-:class:`FrozenIdIndex` over mmap'd CSR columns, so reopening skips the
-re-intern/re-sort rebuild entirely and the first mutation promotes the
-store back to the writable form.
+Persistence (:mod:`repro.store.persist`) writes layers 1 and 2 as a
+versioned, checksummed snapshot that ``TripleStore.save`` writes and
+``TripleStore.open`` maps back in read-only — the dictionary becomes a
+lazily decoding :class:`LazyTermDictionary` over the string heap and each
+index base is a view over the mmap'd CSR columns, so reopening skips the
+re-intern/re-sort rebuild entirely.  Mutations of a reopened store go to
+the index overlays; the mapped file is never written.
 """
 
 from repro.store.dictionary import LazyTermDictionary, TermDictionary
 from repro.store.triplestore import TripleStore
-from repro.store.index import ColumnView, FrozenIdIndex, IdTripleIndex
+from repro.store.index import PermutationIndex
 from repro.store.stats import PredicateStatistics, StoreStatistics
 from repro.store.bulk import load_ntriples_file, load_triples
 
@@ -63,9 +60,7 @@ __all__ = [
     "TripleStore",
     "TermDictionary",
     "LazyTermDictionary",
-    "IdTripleIndex",
-    "FrozenIdIndex",
-    "ColumnView",
+    "PermutationIndex",
     "PredicateStatistics",
     "StoreStatistics",
     "load_triples",

@@ -4,8 +4,8 @@ This module gives the storage engine a second, *persistent* representation:
 a versioned binary snapshot that serialises the term dictionary (string
 heap + offset table) and each index order's sorted ID columns, and that
 reopens without re-sorting or re-interning anything — the cold store's
-indexes are :class:`~repro.store.index.FrozenIdIndex` views straight over
-the mapped file, and its dictionary is a
+index bases are :class:`~repro.store.index.PermutationIndex` column views
+straight over the mapped file, and its dictionary is a
 :class:`~repro.store.dictionary.LazyTermDictionary` that decodes strings on
 demand.  The planner, merge/hash joins, scatter router and O(1) COUNT
 paths all read the same ``count_for_key`` / ``third_count`` /
@@ -41,7 +41,9 @@ Dictionary sections: ``dict/heap`` (concatenated
 record bytes, binary-searched by lazy ``id_for``).  Index sections, for
 each order ``spo`` / ``pos`` / ``osp``: the five CSR columns ``keys``,
 ``key_groups``, ``seconds``, ``group_starts``, ``thirds`` described on
-:class:`FrozenIdIndex`.
+:class:`PermutationIndex`.  Saving folds the store's index overlays into
+their bases first (:meth:`TripleStore._fold`) and writes the base columns
+verbatim.
 
 A sharded snapshot is a directory: ``manifest.json`` (shard topology +
 self-CRC), one shared dictionary container and one columns container per
@@ -81,7 +83,7 @@ from repro.store.dictionary import (
     TermDictionary,
     encode_term_record,
 )
-from repro.store.index import FrozenIdIndex, IdTripleIndex
+from repro.store.index import PermutationIndex
 
 MAGIC = b"RPROSNAP"
 VERSION = 1
@@ -291,15 +293,20 @@ def dictionary_sections(dictionary: TermDictionary) -> List[Tuple[str, bytes]]:
     ]
 
 
-def index_sections(order: str, index) -> List[Tuple[str, bytes]]:
-    """The five CSR sections of one index order (writable or frozen)."""
-    if isinstance(index, FrozenIdIndex):
-        columns = index.columns()
-    else:
-        columns = index.csr_columns()
+def index_sections(store) -> List[Tuple[str, bytes]]:
+    """The fifteen CSR sections of a store's three index orders.
+
+    Folds the store's index overlays first, so the base columns are the
+    whole content and go out verbatim.
+    """
+    if not store.is_frozen:
+        store._fold()
     return [
         (f"{order}/{column_name}", _int64_bytes(column))
-        for column_name, column in zip(INDEX_COLUMNS, columns)
+        for order in INDEX_ORDERS
+        for column_name, column in zip(
+            INDEX_COLUMNS, getattr(store, f"_{order}").columns()
+        )
     ]
 
 
@@ -333,32 +340,6 @@ def delta_triple_sections(added, removed) -> List[Tuple[str, bytes]]:
                 (tag, _int64_bytes(array("q", (row[position] for row in rows))))
             )
     return sections
-
-
-def _expanded_rows(store):
-    """A store's SPO index expanded back to parallel s/p/o row columns.
-
-    Frozen columns repeat the CSR key/second runs vectorised; a writable
-    index streams its triple iterator.  Rows come out in SPO order either
-    way.
-    """
-    spo = store._spo
-    if isinstance(spo, FrozenIdIndex):
-        keys, key_groups, seconds, group_starts, thirds = (
-            np.asarray(column) for column in spo.columns()
-        )
-        group_counts = np.diff(group_starts)
-        s_rows = np.repeat(np.repeat(keys, np.diff(key_groups)), group_counts)
-        p_rows = np.repeat(seconds, group_counts)
-        return s_rows, p_rows, np.ascontiguousarray(thirds)
-    s_rows = array("q")
-    p_rows = array("q")
-    o_rows = array("q")
-    for s, p, o in spo.triples():
-        s_rows.append(s)
-        p_rows.append(p)
-        o_rows.append(o)
-    return s_rows, p_rows, o_rows
 
 
 def _delta_columns(views: Dict[str, memoryview], tags) -> List[memoryview]:
@@ -437,11 +418,11 @@ def _apply_deltas(
         for _, views, _ in deltas
         if DELTA_DEL_SECTIONS[0] in views
     )
-    s_rows, p_rows, o_rows = _expanded_rows(store)
+    s_rows, p_rows, o_rows = store._spo.rows()
     if total_removed == 0:
         # Append-only chain: adds are new by journal construction, so the
         # final columns are a plain concatenation.
-        parts = [[np.asarray(s_rows)], [np.asarray(p_rows)], [np.asarray(o_rows)]]
+        parts = [[s_rows], [p_rows], [o_rows]]
         for _, views, _ in deltas:
             for part, column in zip(parts, _delta_columns(views, DELTA_ADD_SECTIONS)):
                 part.append(np.asarray(column))
@@ -508,7 +489,7 @@ def _build_dictionary(
 
 def _build_index(
     order: str, header: dict, sections: Dict[str, memoryview]
-) -> FrozenIdIndex:
+) -> PermutationIndex:
     views = []
     for column_name in INDEX_COLUMNS:
         tag = f"{order}/{column_name}"
@@ -525,7 +506,7 @@ def _build_index(
         or len(thirds) != triples
     ):
         raise SnapshotCorruptError(f"Index order {order!r} columns are inconsistent")
-    return FrozenIdIndex(keys, key_groups, seconds, group_starts, thirds)
+    return PermutationIndex(keys, key_groups, seconds, group_starts, thirds)
 
 
 # --------------------------------------------------------------------- #
@@ -533,9 +514,7 @@ def _build_index(
 # --------------------------------------------------------------------- #
 def save_store(store, path: Union[str, Path]) -> None:
     """Write ``store`` (and its dictionary) as one snapshot file."""
-    sections = dictionary_sections(store.dictionary)
-    for order in INDEX_ORDERS:
-        sections.extend(index_sections(order, getattr(store, f"_{order}")))
+    sections = dictionary_sections(store.dictionary) + index_sections(store)
     write_container(
         path,
         kind=KIND_STORE,
@@ -882,14 +861,11 @@ def save_sharded_store(
             terms=terms,
         )
     for shard, file_name in rewritten:
-        sections = []
-        for order in INDEX_ORDERS:
-            sections.extend(index_sections(order, getattr(shard, f"_{order}")))
         write_container(
             directory / file_name,
             kind=KIND_COLUMNS,
             name=shard.name,
-            sections=sections,
+            sections=index_sections(shard),
             triples=len(shard),
             terms=terms,
         )

@@ -19,7 +19,7 @@ from repro.rdf.triple import Triple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.dictionary import TermDictionary
-    from repro.store.index import IdTripleIndex
+    from repro.store.index import PermutationIndex
 
 
 @dataclass
@@ -84,7 +84,7 @@ class StoreStatistics:
 
 def predicate_statistics_from_index(
     dictionary: "TermDictionary",
-    pos_index: "IdTripleIndex",
+    pos_index: "PermutationIndex",
     predicate: IRI,
     predicate_id: int,
 ) -> PredicateStatistics:

@@ -4,7 +4,7 @@
 this reproduction.  Since the dictionary-encoding refactor it stores
 **integer ID triples**: every term is interned once in a
 :class:`~repro.store.dictionary.TermDictionary` and the three permutation
-indexes (:class:`~repro.store.index.IdTripleIndex`) key on plain ints.  The
+indexes (:class:`~repro.store.index.PermutationIndex`) key on plain ints.  The
 public API stays Term-in/Term-out; the ID-level API (:meth:`match_ids`,
 :meth:`term_id`, :attr:`dictionary`) is used by the SPARQL evaluator to
 join on integers without round-tripping through Term objects.
@@ -27,18 +27,21 @@ pattern    index used
 Every one of the eight shapes is also *countable* from index bookkeeping
 alone — :meth:`count` never materialises triples.
 
-Since the persistence PR a store has **two interchangeable index
-representations**: the writable :class:`IdTripleIndex` nests (warm
-stores) and read-only :class:`~repro.store.index.FrozenIdIndex` column
-views over an mmap'd snapshot (:meth:`TripleStore.open`).  Every read
-path is generic over both; the first mutation of a cold store promotes
-the frozen columns to the writable form (see :meth:`_ensure_writable`).
+Each index is a :class:`~repro.store.index.PermutationIndex`: an
+immutable CSR base (built in numpy by :meth:`TripleStore._csr_permutations`,
+or viewed straight over an mmap'd snapshot by :meth:`TripleStore.open`)
+plus a small per-key overlay of added and removed entries.
+:meth:`~TripleStore.add`, :meth:`~TripleStore.remove` and
+:meth:`~TripleStore.bulk_load` share one write path into the overlays
+(:meth:`TripleStore._write`), which folds them into fresh bases once they
+pass a share of the store; saving folds too.  Reads never fold.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from repro.errors import StoreError
 from repro.rdf.terms import IRI, Term
 from repro.rdf.triple import Triple, TriplePattern
 from repro.store.dictionary import TermDictionary
-from repro.store.index import FrozenIdIndex, IdTripleIndex
+from repro.store.index import PermutationIndex, csr_from_sorted
 from repro.store.stats import (
     PredicateStatistics,
     StoreStatistics,
@@ -61,39 +64,6 @@ def _ids_array_np(column):
     if isinstance(column, (array, memoryview, bytes, bytearray)):
         return np.frombuffer(column, dtype=np.int64)
     return np.fromiter(column, dtype=np.int64, count=len(column))
-
-
-def _csr_from_sorted_np(keys_col, seconds_col, thirds_col):
-    """One permutation's five CSR columns from presorted, deduped columns.
-
-    ``(keys_col, seconds_col, thirds_col)`` must already be sorted
-    lexicographically; boundary detection is two vectorised comparisons,
-    so the Python cost is O(1) regardless of row count.
-    """
-    n = int(keys_col.size)
-    if not n:
-        empty = np.empty(0, dtype=np.int64)
-        zero = np.zeros(1, dtype=np.int64)
-        return empty, zero, empty, zero, empty
-    group_change = np.empty(n, dtype=bool)
-    group_change[0] = True
-    np.not_equal(keys_col[1:], keys_col[:-1], out=group_change[1:])
-    group_change[1:] |= seconds_col[1:] != seconds_col[:-1]
-    group_rows = np.flatnonzero(group_change)
-    group_keys = keys_col[group_rows]
-    seconds = seconds_col[group_rows]
-    group_starts = np.empty(group_rows.size + 1, dtype=np.int64)
-    group_starts[:-1] = group_rows
-    group_starts[-1] = n
-    key_change = np.empty(group_keys.size, dtype=bool)
-    key_change[0] = True
-    np.not_equal(group_keys[1:], group_keys[:-1], out=key_change[1:])
-    key_slots = np.flatnonzero(key_change)
-    keys = group_keys[key_slots]
-    key_groups = np.empty(key_slots.size + 1, dtype=np.int64)
-    key_groups[:-1] = key_slots
-    key_groups[-1] = group_keys.size
-    return keys, key_groups, seconds, group_starts, np.ascontiguousarray(thirds_col)
 
 
 def csr_permutation_sections(subjects: bytes, predicates: bytes, objects: bytes):
@@ -122,9 +92,12 @@ def _column_from_bytes(payload: bytes):
 def _column_bytes(column) -> bytes:
     return column.tobytes()
 
-#: Below this batch size :meth:`TripleStore.bulk_load_pending` sorts tuples
-#: in Python, which beats numpy's per-call overhead.
-_BULK_NUMPY_MIN = 2048
+#: A write folds the index overlays into fresh CSR bases once they would
+#: hold more than ``max(_FOLD_MIN, len(store) // _FOLD_SHARE)`` entries:
+#: below that, reads of touched keys merge a few entries per key; above
+#: it, one numpy rebuild is cheaper than the merges it saves.
+_FOLD_MIN = 1024
+_FOLD_SHARE = 8
 
 #: Net journal entries (adds + removes since the last snapshot) beyond
 #: which the mutation journal is dropped: a delta larger than this is no
@@ -163,9 +136,9 @@ class TripleStore:
     ):
         self.name = name
         self._dictionary = dictionary if dictionary is not None else TermDictionary()
-        self._spo = IdTripleIndex()
-        self._pos = IdTripleIndex()
-        self._osp = IdTripleIndex()
+        self._spo = PermutationIndex()
+        self._pos = PermutationIndex()
+        self._osp = PermutationIndex()
         # Monotonic mutation stamp: bumped by every mutation that changes
         # the triple set.  Consumers (the SPARQL plan cache) compare stamps
         # instead of sizes, so an add+remove pair cannot masquerade as "no
@@ -178,9 +151,10 @@ class TripleStore:
         # single dict lookup instead of three term->ID translations.
         self._triples: Dict[Tuple[int, int, int], Triple] = {}
         self._triple_ids: Dict[Triple, Tuple[int, int, int]] = {}
-        # Cold-opened stores (TripleStore.open) start with frozen columnar
-        # indexes, a lazy dictionary and *no* materialised Triple maps;
-        # these two flags track that state.  Warm stores never flip them.
+        # Cold-opened stores (TripleStore.open, from_id_columns) start with
+        # a lazy dictionary and *no* materialised Triple maps: reads and
+        # single add()/remove() calls answer from the indexes alone until
+        # something needs the maps (_ensure_triples).
         self._lazy_triples = False
         self._snapshot_retained = None  # keeps the mmap buffer alive
         # Net mutation journal since the last snapshot point: (added,
@@ -197,12 +171,12 @@ class TripleStore:
         cls,
         name: str,
         dictionary: TermDictionary,
-        spo: FrozenIdIndex,
-        pos: FrozenIdIndex,
-        osp: FrozenIdIndex,
+        spo: PermutationIndex,
+        pos: PermutationIndex,
+        osp: PermutationIndex,
         retained=None,
     ) -> "TripleStore":
-        """Assemble a cold store over frozen snapshot views (persist layer)."""
+        """Assemble a cold store over CSR index bases (persist layer)."""
         store = cls.__new__(cls)
         store.name = name
         store._dictionary = dictionary
@@ -230,20 +204,14 @@ class TripleStore:
 
         The streaming construction path for generated worlds: rows are
         sorted and deduplicated columnwise in numpy and the three
-        permutation indexes are
-        built as *frozen* CSR columns — no per-fact :class:`Triple`
-        objects, no Python containers proportional to the row count.  The
-        store starts in the same lazy state a cold-opened snapshot does
-        (``is_frozen``), so saving it writes the columns verbatim and the
-        first mutation thaws them exactly like a reopened snapshot.  All
-        IDs must have been interned through ``dictionary``.
+        permutation indexes are built as CSR bases — no per-fact
+        :class:`Triple` objects, no Python containers proportional to the
+        row count.  The store starts in the same lazy state a cold-opened
+        snapshot does, so saving it writes the columns verbatim.  All IDs
+        must have been interned through ``dictionary``.
         """
         _, permutations = cls._csr_permutations(subjects, predicates, objects)
-        indexes = [
-            FrozenIdIndex(*[memoryview(column) for column in columns])
-            for columns in permutations
-        ]
-        return cls._from_snapshot(name, dictionary, *indexes)
+        return cls._from_snapshot(name, dictionary, *_indexes(permutations))
 
     @staticmethod
     def _csr_permutations(subjects, predicates, objects):
@@ -251,9 +219,9 @@ class TripleStore:
 
         Returns ``(row_count, [spo, pos, osp])`` where each permutation is
         the five buffer-backed columns (keys, key_groups, seconds,
-        group_starts, thirds) in :class:`FrozenIdIndex` layout.  This is
-        the sort kernel behind :meth:`from_id_columns`; the sharded
-        builder also runs it inside worker processes via
+        group_starts, thirds) in :class:`PermutationIndex` layout.  This
+        is the sort kernel behind :meth:`from_id_columns` and every fold;
+        the sharded builder also runs it inside worker processes via
         :func:`csr_permutation_sections`.
         """
         s = _ids_array_np(subjects)
@@ -272,9 +240,9 @@ class TripleStore:
         pos_order = np.lexsort((s, o, p))
         osp_order = np.lexsort((p, s, o))
         return int(s.size), [
-            _csr_from_sorted_np(s, p, o),
-            _csr_from_sorted_np(p[pos_order], o[pos_order], s[pos_order]),
-            _csr_from_sorted_np(o[osp_order], s[osp_order], p[osp_order]),
+            csr_from_sorted(s, p, o),
+            csr_from_sorted(p[pos_order], o[pos_order], s[pos_order]),
+            csr_from_sorted(o[osp_order], s[osp_order], p[osp_order]),
         ]
 
     # ------------------------------------------------------------------ #
@@ -321,8 +289,8 @@ class TripleStore:
         on disk behind read-only views, so opening costs header parsing
         plus one checksum pass regardless of store size; terms decode
         lazily as queries touch them.  ``mmap=False`` loads the file into
-        memory instead.  The first mutation transparently promotes the
-        frozen columns to the writable in-memory form.
+        memory instead.  Mutations go to the index overlays; the mapped
+        columns themselves are never written.
 
         Raises
         ------
@@ -336,8 +304,9 @@ class TripleStore:
 
     @property
     def is_frozen(self) -> bool:
-        """Whether the indexes are still read-only snapshot views."""
-        return isinstance(self._spo, FrozenIdIndex)
+        """Whether every mutation is folded into the CSR bases (the index
+        overlays are empty)."""
+        return not self._spo.pending
 
     def _ensure_triples(self) -> None:
         """Materialise the ID-triple <-> Triple maps of a cold store."""
@@ -352,20 +321,49 @@ class TripleStore:
             triple_ids[triple] = ids
         self._lazy_triples = False
 
-    def _ensure_writable(self) -> None:
-        """Promote frozen snapshot columns to writable indexes (mutations).
+    def _write(
+        self,
+        added: Sequence[Tuple[int, int, int]],
+        removed: Sequence[Tuple[int, int, int]] = (),
+    ) -> None:
+        """The one write path into the three permutation indexes.
 
-        Copy-on-write at index-order granularity: each frozen
-        :class:`FrozenIdIndex` thaws into an independent
-        :class:`IdTripleIndex`; the mmap'd columns themselves are never
-        written.  Reads never trigger this.
+        ``added`` ID triples must be new to the store and ``removed`` ones
+        present in it.  Removals go to the overlays; additions do too,
+        unless they would take the overlays past the fold limit — then the
+        overlays and the additions fold into fresh CSR bases in one numpy
+        rebuild (for an empty store, that is a direct CSR build).
         """
-        if not isinstance(self._spo, FrozenIdIndex):
+        spo, pos, osp = self._spo, self._pos, self._osp
+        for s, p, o in removed:
+            spo.remove(s, p, o)
+            pos.remove(p, o, s)
+            osp.remove(o, s, p)
+        if spo.pending + len(added) > max(_FOLD_MIN, len(spo) // _FOLD_SHARE):
+            self._fold(added)
             return
-        self._ensure_triples()
-        self._spo = self._spo.thaw()
-        self._pos = self._pos.thaw()
-        self._osp = self._osp.thaw()
+        for s, p, o in added:
+            spo.add(s, p, o)
+            pos.add(p, o, s)
+            osp.add(o, s, p)
+
+    def _fold(self, added: Sequence[Tuple[int, int, int]] = ()) -> None:
+        """Fold the index overlays, plus ``added`` new ID triples, into
+        fresh CSR bases.
+
+        The three new indexes replace the old ones whole, so a reader
+        still holding an old index keeps a consistent base and overlay.
+        """
+        s, p, o = self._spo.rows()
+        if added:
+            extra = np.fromiter(
+                chain.from_iterable(added), dtype=np.int64, count=3 * len(added)
+            ).reshape(-1, 3)
+            s = np.concatenate((s, extra[:, 0]))
+            p = np.concatenate((p, extra[:, 1]))
+            o = np.concatenate((o, extra[:, 2]))
+        _, permutations = self._csr_permutations(s, p, o)
+        self._spo, self._pos, self._osp = _indexes(permutations)
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -410,31 +408,23 @@ class TripleStore:
         """Add a triple.  Returns ``True`` if the store changed."""
         if not isinstance(triple, Triple):
             raise StoreError(f"Expected a Triple, got {type(triple).__name__}")
-        # Idempotent-upsert fast path on a cold store: a duplicate add is
-        # a no-op, so answer it from the frozen columns instead of paying
-        # the full thaw.
-        if self._lazy_triples and triple in self:
+        if triple in self:
             return False
-        self._ensure_writable()
         encode = self._dictionary.encode
-        s = encode(triple.subject)
-        p = encode(triple.predicate)
-        o = encode(triple.object)
-        if not self._spo.add(s, p, o):
-            return False
-        self._pos.add(p, o, s)
-        self._osp.add(o, s, p)
-        self._triples[(s, p, o)] = triple
-        self._triple_ids[triple] = (s, p, o)
+        ids = (encode(triple.subject), encode(triple.predicate), encode(triple.object))
+        self._write((ids,))
+        if not self._lazy_triples:
+            self._triples[ids] = triple
+            self._triple_ids[triple] = ids
         self._version += 1
-        self._journal_add((s, p, o))
+        self._journal_add(ids)
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Add many triples one by one; returns the number actually inserted.
 
-        Prefer :meth:`bulk_load` for large batches — it sorts once per
-        index order instead of bisect-inserting per triple.
+        Prefer :meth:`bulk_load` for large batches — it stages the batch
+        once instead of probing per triple.
         """
         inserted = 0
         for triple in triples:
@@ -446,20 +436,16 @@ class TripleStore:
         """Columnar bulk insert; returns the number of new triples.
 
         The fast path for store construction: terms are interned through
-        the dictionary in one pass while the ID triples accumulate in flat
-        ``array('q')`` columns, then each permutation index is built by
-        sorting the columns once in that index's order and handing the
-        presorted, deduplicated runs to
-        :meth:`IdTripleIndex.bulk_extend` — no per-triple bisect
-        insertions.  Equivalent to :meth:`add_all` (duplicates within the
-        batch and against existing content are skipped, first instance
-        wins) but several times faster on large batches.
+        the dictionary in one pass and the new ID triples go through the
+        store's one write path, where a batch too large for the overlays
+        rebuilds the CSR bases in numpy (one sort per index order; an
+        empty store is built directly).  Equivalent to :meth:`add_all`
+        (duplicates within the batch and against existing content are
+        skipped, first instance wins) but several times faster on large
+        batches.
         """
         # Subscripting the interning map interns on miss entirely in C for
-        # already-seen terms (the overwhelming case in a batch).  Staging
-        # only needs the Triple maps (dedupe) and the interning map; the
-        # index thaw is left to bulk_load_pending, which skips it when
-        # the whole batch turns out to be duplicates.
+        # already-seen terms (the overwhelming case in a batch).
         self._ensure_triples()
         intern = self._dictionary.ids_map
         triples_map = self._triples
@@ -497,19 +483,10 @@ class TripleStore:
         count = len(pending)
         if not count:
             return 0
-        self._ensure_writable()
         self._version += 1
-        triple_ids = self._triple_ids
-        s_col = array("q")
-        p_col = array("q")
-        o_col = array("q")
-        append_s, append_p, append_o = s_col.append, p_col.append, o_col.append
-        for ids, triple in pending.items():
-            triple_ids[triple] = ids
-            append_s(ids[0])
-            append_p(ids[1])
-            append_o(ids[2])
-        self._triples.update(pending)
+        if not self._lazy_triples:
+            self._triple_ids.update(zip(pending.values(), pending.keys()))
+            self._triples.update(pending)
         journal = self._journal
         if journal is not None:
             added, removed = journal
@@ -521,45 +498,8 @@ class TripleStore:
                 added.update(pending.keys())
             if len(added) + len(removed) > _JOURNAL_LIMIT:
                 self._journal = None
-        if count >= _BULK_NUMPY_MIN:
-            s_arr = np.frombuffer(s_col, dtype=np.int64)
-            p_arr = np.frombuffer(p_col, dtype=np.int64)
-            o_arr = np.frombuffer(o_col, dtype=np.int64)
-            self._bulk_extend_np(self._spo, s_arr, p_arr, o_arr)
-            self._bulk_extend_np(self._pos, p_arr, o_arr, s_arr)
-            self._bulk_extend_np(self._osp, o_arr, s_arr, p_arr)
-        else:
-            self._spo.bulk_extend(sorted(zip(s_col, p_col, o_col)))
-            self._pos.bulk_extend(sorted(zip(p_col, o_col, s_col)))
-            self._osp.bulk_extend(sorted(zip(o_col, s_col, p_col)))
+        self._write(list(pending))
         return count
-
-    @staticmethod
-    def _bulk_extend_np(index: IdTripleIndex, keys, seconds, thirds) -> None:
-        """Sort one permutation's columns in C and feed the index grouped runs.
-
-        ``lexsort`` orders by ``(key, second, third)``; group boundaries
-        (where key or second changes) come from vectorised comparisons, so
-        Python-level work is proportional to the number of groups, not
-        entries.
-        """
-        order = np.lexsort((thirds, seconds, keys))
-        keys = keys[order]
-        seconds = seconds[order]
-        thirds = thirds[order]
-        change = np.empty(len(keys), dtype=bool)
-        change[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=change[1:])
-        change[1:] |= seconds[1:] != seconds[:-1]
-        starts = np.flatnonzero(change)
-        bounds = starts.tolist()
-        bounds.append(len(keys))
-        index.bulk_extend_grouped(
-            keys[starts].tolist(),
-            seconds[starts].tolist(),
-            bounds,
-            thirds.tolist(),
-        )
 
     def remove(self, triple: Triple) -> bool:
         """Remove a triple.  Returns ``True`` if it was present.
@@ -567,23 +507,17 @@ class TripleStore:
         Dictionary IDs are *not* reclaimed: interned terms keep their IDs
         for the lifetime of the store.
         """
-        # Mirror of the add() fast path: removing an absent triple from a
-        # cold store is a no-op answered from the frozen columns.
-        if self._lazy_triples and triple not in self:
+        if triple not in self:
             return False
-        self._ensure_writable()
-        ids = self._triple_ids.get(triple)
-        if ids is None:
-            return False
-        s, p, o = ids
-        if not self._spo.remove(s, p, o):
-            return False
-        self._pos.remove(p, o, s)
-        self._osp.remove(o, s, p)
-        del self._triples[(s, p, o)]
-        del self._triple_ids[triple]
+        if self._lazy_triples:
+            id_for = self._dictionary.id_for
+            ids = (id_for(triple.subject), id_for(triple.predicate), id_for(triple.object))
+        else:
+            ids = self._triple_ids.pop(triple)
+            del self._triples[ids]
+        self._write((), (ids,))
         self._version += 1
-        self._journal_remove((s, p, o))
+        self._journal_remove(ids)
         return True
 
     def clear(self) -> None:
@@ -594,17 +528,10 @@ class TripleStore:
         """
         if len(self._spo):
             self._version += 1
-        if isinstance(self._spo, FrozenIdIndex):
-            # No point thawing columns just to empty them: swap in fresh
-            # writable indexes and drop the frozen views.
-            self._spo = IdTripleIndex()
-            self._pos = IdTripleIndex()
-            self._osp = IdTripleIndex()
-            self._lazy_triples = False
-        else:
-            self._spo.clear()
-            self._pos.clear()
-            self._osp.clear()
+        self._spo = PermutationIndex()
+        self._pos = PermutationIndex()
+        self._osp = PermutationIndex()
+        self._lazy_triples = False
         self._triples.clear()
         self._triple_ids.clear()
         # A cleared store's net change is "everything the snapshot had is
@@ -639,7 +566,7 @@ class TripleStore:
         return self._dictionary.decode(tid)
 
     def contains_ids(self, s: int, p: int, o: int) -> bool:
-        """Membership test in ID space — one tuple-hash probe (a bisect
+        """Membership test in ID space — one tuple-hash probe (an index
         probe on a cold-opened store)."""
         if self._lazy_triples:
             return self._spo.contains(s, p, o)
@@ -845,7 +772,7 @@ class TripleStore:
         if not isinstance(triple, Triple):
             return False
         if self._lazy_triples:
-            # Cold store: three lazy ID lookups + one index bisect, so a
+            # Cold store: three lazy ID lookups + one index probe, so a
             # membership probe never materialises the Triple maps.
             id_for = self._dictionary.id_for
             s = id_for(triple.subject)
@@ -1047,3 +974,12 @@ class TripleStore:
     def copy(self, name: Optional[str] = None) -> "TripleStore":
         """A deep-enough copy: terms are shared (immutable), indexes rebuilt."""
         return TripleStore(name=name or f"{self.name}-copy", triples=iter(self))
+
+
+def _indexes(permutations) -> List[PermutationIndex]:
+    """Three :class:`PermutationIndex` bases over
+    :meth:`TripleStore._csr_permutations` columns."""
+    return [
+        PermutationIndex(*[memoryview(column) for column in columns])
+        for columns in permutations
+    ]

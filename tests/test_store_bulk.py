@@ -7,7 +7,7 @@ from repro.rdf.namespace import Namespace
 from repro.rdf.terms import Literal
 from repro.rdf.triple import Triple
 from repro.store.bulk import load_triples
-from repro.store.index import IdTripleIndex
+from repro.store.index import PermutationIndex
 from repro.store.triplestore import TripleStore
 from repro.synthetic.generator import generate_world
 from repro.synthetic.presets import movie_world_spec
@@ -152,34 +152,9 @@ class TestBulkLoad:
             assert total == len(store)
 
 
-class TestBulkExtendIndex:
-    def test_bulk_extend_matches_incremental_adds(self):
-        entries = sorted(
-            {(key % 5, second % 7, key * 13 + second) for key in range(40) for second in range(3)}
-        )
-        incremental = IdTripleIndex()
-        for key, second, third in entries:
-            incremental.add(key, second, third)
-        bulk = IdTripleIndex()
-        bulk.bulk_extend(entries)
-        assert len(bulk) == len(incremental)
-        assert set(bulk.triples()) == set(incremental.triples())
-        for key, _, _ in entries:
-            assert bulk.count_for_key(key) == incremental.count_for_key(key)
-            assert bulk.second_count_for_key(key) == incremental.second_count_for_key(key)
-
-    def test_bulk_extend_appends_to_existing_runs(self):
-        index = IdTripleIndex()
-        index.add(1, 1, 5)
-        index.add(1, 1, 1)
-        index.bulk_extend([(1, 1, 2), (1, 1, 9), (2, 1, 3)])
-        assert list(index.thirds(1, 1)) == [1, 2, 5, 9]
-        assert index.count_for_key(1) == 4
-        assert index.count_for_key(2) == 1
-        assert len(index) == 5
-
+class TestIndexRuns:
     def test_sorted_thirds_exposes_run(self):
-        index = IdTripleIndex()
+        index = PermutationIndex()
         for third in (9, 2, 5):
             index.add(3, 4, third)
         run = index.sorted_thirds(3, 4)

@@ -8,8 +8,8 @@ The contract under test (see :mod:`repro.store.persist`):
   manifest), and truncating the file, raises a clean
   :class:`~repro.errors.SnapshotCorruptError`;
 * a cold-opened store answers the whole bookkeeping API identically to
-  the warm store it was saved from, stays lazy under reads, and promotes
-  transparently on the first mutation.
+  the warm store it was saved from, stays lazy under reads, and keeps
+  its mutations in the index overlays until the next save folds them.
 """
 
 import json
@@ -32,7 +32,7 @@ from repro.store.dictionary import (
     decode_term_record,
     encode_term_record,
 )
-from repro.store.index import FrozenIdIndex, IdTripleIndex
+from repro.store.index import PermutationIndex
 from repro.store.triplestore import TripleStore
 
 EX = Namespace("http://persist.test/")
@@ -326,7 +326,7 @@ class TestColdStoreSemantics:
         assert cold.count_ids(None, pid, None) == warm_store.count_ids(
             None, warm_store.term_id(EX.age), None
         )
-        # Membership, counts and term lookups must not thaw anything.
+        # Membership, counts and term lookups must not write anything.
         assert cold.is_frozen
         assert not cold.dictionary.is_promoted
 
@@ -360,47 +360,50 @@ class TestColdStoreSemantics:
         )
         assert cold.entities() == warm_store.entities()
 
-    def test_frozen_index_matches_writable(self, warm_store):
-        writable = warm_store._spo
-        keys, key_groups, seconds, group_starts, thirds = writable.csr_columns()
-        frozen = FrozenIdIndex(
-            memoryview(keys),
-            memoryview(key_groups),
-            memoryview(seconds),
-            memoryview(group_starts),
-            memoryview(thirds),
-        )
-        assert len(frozen) == len(writable)
-        assert sorted(frozen.keys()) == sorted(writable.keys())
-        assert frozen.key_count() == writable.key_count()
-        for key in writable.keys():
-            assert frozen.count_for_key(key) == writable.count_for_key(key)
-            assert frozen.second_count_for_key(key) == writable.second_count_for_key(key)
-            assert frozen.distinct_third_count(key) == writable.distinct_third_count(key)
-            assert list(frozen.seconds(key)) == sorted(writable.seconds(key))
-            assert sorted(frozen.pairs(key)) == sorted(writable.pairs(key))
-            for second in writable.seconds(key):
-                assert frozen.third_count(key, second) == writable.third_count(
+    def test_frozen_index_matches_writable(self, snapshot_path, warm_store):
+        # The same entries held by an index's overlay alone and by a CSR
+        # base (a reopened snapshot) answer every read alike.
+        base = TripleStore.open(snapshot_path)._spo
+        overlay = PermutationIndex()
+        for entry in base.triples():
+            assert overlay.add(*entry)
+        assert overlay.pending == len(base) and not base.pending
+        assert len(overlay) == len(base)
+        assert list(overlay.keys()) == list(base.keys())
+        assert overlay.key_count() == base.key_count()
+        for key in base.keys():
+            assert overlay.count_for_key(key) == base.count_for_key(key)
+            assert overlay.second_count_for_key(key) == base.second_count_for_key(key)
+            assert overlay.distinct_third_count(key) == base.distinct_third_count(key)
+            assert list(overlay.seconds(key)) == list(base.seconds(key))
+            assert list(overlay.pairs(key)) == list(base.pairs(key))
+            for second in base.seconds(key):
+                assert overlay.third_count(key, second) == base.third_count(
                     key, second
                 )
-                assert list(frozen.sorted_thirds(key, second)) == list(
-                    writable.sorted_thirds(key, second)
+                assert list(overlay.sorted_thirds(key, second)) == list(
+                    base.sorted_thirds(key, second)
                 )
-        assert sorted(frozen.triples()) == sorted(writable.triples())
-        assert not frozen.has_key(-1)
-        assert frozen.count_for_key(-1) == 0
-        assert frozen.third_count(-1, 0) == 0
-        assert list(frozen.thirds(-1, 0)) == []
-        assert frozen.sorted_thirds(-1, 0) == ()
+        assert list(overlay.triples()) == list(base.triples())
+        assert not base.has_key(-1)
+        assert base.count_for_key(-1) == 0
+        assert base.third_count(-1, 0) == 0
+        assert list(base.thirds(-1, 0)) == []
+        assert base.sorted_thirds(-1, 0) == ()
 
-    def test_thaw_round_trips(self, warm_store):
-        columns = warm_store._pos.csr_columns()
-        frozen = FrozenIdIndex(*map(memoryview, columns))
-        thawed = frozen.thaw()
-        assert isinstance(thawed, IdTripleIndex)
-        assert sorted(thawed.triples()) == sorted(frozen.triples())
-        for key in frozen.keys():
-            assert thawed.count_for_key(key) == frozen.count_for_key(key)
+    def test_fold_round_trips(self, warm_store):
+        store = TripleStore(triples=iter(warm_store))
+        assert not store.is_frozen  # small enough to stay in the overlays
+        before = [list(index.triples()) for index in (store._spo, store._pos, store._osp)]
+        counts = {key: store._pos.count_for_key(key) for key in store._pos.keys()}
+        version = store.data_version
+        store._fold()
+        assert store.is_frozen
+        assert store.data_version == version
+        after = [list(index.triples()) for index in (store._spo, store._pos, store._osp)]
+        assert after == before
+        for key, count in counts.items():
+            assert store._pos.count_for_key(key) == count
 
     def test_mutation_promotes_and_stays_correct(self, snapshot_path, warm_store):
         cold = TripleStore.open(snapshot_path)
@@ -430,7 +433,7 @@ class TestColdStoreSemantics:
         assert len(cold) == before + 10
         assert not cold.is_frozen
 
-    def test_noop_bulk_load_does_not_thaw(self, snapshot_path, warm_store):
+    def test_noop_bulk_load_stays_frozen(self, snapshot_path, warm_store):
         # An empty or all-duplicate batch stages and dedupes but inserts
         # nothing: the frozen columns must survive untouched.
         cold = TripleStore.open(snapshot_path)

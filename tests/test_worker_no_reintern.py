@@ -11,8 +11,9 @@ These property tests pin that contract:
   again yields the same ID;
 * result multisets of worker evaluation equal in-process evaluation
   *as raw ID bindings* (not merely as decoded terms);
-* workers never promote their lazy dictionary and never thaw a frozen
-  shard index copy-on-write — the read path alone must suffice;
+* workers never promote their lazy dictionary and never write to a
+  shard index (every shard stays frozen) — the read path alone must
+  suffice;
 * a cold parent (reopened from the same snapshot) stays lazy too: a
   full process-backend query round-trip promotes nothing on either side.
 """
@@ -116,7 +117,7 @@ class TestNoReintern:
                     encode_term_record(term)  # must be encodable verbatim
 
             # The workload above crossed the process boundary as IDs
-            # only: no worker interned anything, no shard index thawed.
+            # only: no worker interned anything, no shard index was written.
             for info in executor.ping_all():
                 assert info["promoted"] is False
                 assert all(info["frozen"].values())
