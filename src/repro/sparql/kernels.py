@@ -66,7 +66,6 @@ concatenated subject runs sorted).  Evaluators built with
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain, repeat, starmap
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -122,16 +121,14 @@ class ColumnarPlan(NamedTuple):
 # Column adaptation
 # --------------------------------------------------------------------- #
 def _as_array(run):
-    """``run`` as an int64 ndarray, zero-copy for buffer-backed forms.
+    """``run`` as an int64 ndarray.
 
-    Accepts every run container the store hands out: the index's
-    ``memoryview`` windows (over numpy arrays, bytes or an mmap),
-    ``array('q')`` columns, ndarrays, and the empty tuple of an absent run.
+    The store hands out index ``memoryview`` windows (over numpy arrays,
+    bytes or an mmap), which convert without a copy, and the empty tuple
+    of an absent run.
     """
-    if isinstance(run, (memoryview, array)):
+    if isinstance(run, memoryview):
         return _np.frombuffer(run, dtype=_np.int64)
-    if isinstance(run, _np.ndarray):
-        return run
     return _np.fromiter(run, dtype=_np.int64, count=len(run))
 
 

@@ -146,7 +146,6 @@ class PermutationIndex:
         "_pending",
         "_size",
         "_key_count",
-        "_merged_keys",
     )
 
     def __init__(self, *columns: memoryview):
@@ -162,7 +161,6 @@ class PermutationIndex:
         self._pending = 0
         self._size = len(thirds)
         self._key_count = len(keys)
-        self._merged_keys: Optional[memoryview] = None
 
     def __len__(self) -> int:
         return self._size
@@ -260,9 +258,7 @@ class PermutationIndex:
             self._pending += 1
         self._size += change
         if delta.count() == (1 if change > 0 else 0):
-            # The key appeared or emptied: the key set changed.
-            self._key_count += change
-            self._merged_keys = None
+            self._key_count += change  # the key appeared or emptied
         delta.merged = None
         if not delta.added and not delta.removed:
             del self._delta[key]
@@ -362,18 +358,16 @@ class PermutationIndex:
 
     def keys(self) -> Iterator[int]:
         """Iterate over all distinct keys (ascending)."""
-        if not self._delta:
+        emptied = [k for k, d in self._delta.items() if d.base_count and not d.count()]
+        new = [k for k, d in self._delta.items() if not d.base_count and d.count()]
+        if not emptied and not new:
             return iter(self._keys)
-        if self._merged_keys is None:
-            emptied = [k for k, d in self._delta.items() if d.base_count and not d.count()]
-            new = [k for k, d in self._delta.items() if not d.base_count and d.count()]
-            keys = _int64(self._keys)
-            if emptied:
-                keys = keys[~np.isin(keys, emptied)]
-            if new:
-                keys = np.sort(np.concatenate((keys, np.array(new, dtype=np.int64))))
-            self._merged_keys = memoryview(keys)
-        return iter(self._merged_keys)
+        keys = _int64(self._keys)
+        if emptied:
+            keys = keys[~np.isin(keys, emptied)]
+        if new:
+            keys = np.sort(np.concatenate((keys, np.array(new, dtype=np.int64))))
+        return iter(memoryview(keys))
 
     def seconds(self, key: int) -> Iterator[int]:
         """Iterate over the distinct second IDs under ``key`` (ascending)."""
