@@ -6,7 +6,7 @@ Demonstrates the PR 5 deployment shape end to end:
 2. ``serve()`` — snapshot the store to a directory (skipped when an
    up-to-date snapshot is already there) and boot one worker process
    per shard, each mmap-opening its shard's columns plus the shared
-   lazy dictionary: nothing is pickled, nothing re-interned;
+   dictionary: nothing is pickled, nothing re-interned;
 3. run thread-pool query waves against a process-backed simulated
    endpoint and compare against the in-process thread backend;
 4. peek at the worker diagnostics the fault-injection tests rely on.
@@ -82,14 +82,14 @@ def main() -> None:
             "(scales with cores; see BENCH_proc.json)"
         )
 
-        # Worker diagnostics: one process per shard, nothing promoted,
+        # Worker diagnostics: one process per shard, nothing interned,
         # every shard index still frozen — queries crossed the process
         # boundary as serialized ID-binding batches, not as objects.
         for info in endpoint.executor.ping_all():
             print(
                 f"  worker {info['worker']} pid={info['pid']} "
                 f"shards={info['shards']} "
-                f"promoted={info['promoted']} "
+                f"interned={info['interned']} "
                 f"tasks={info['tasks_served']}"
             )
 

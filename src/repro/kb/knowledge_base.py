@@ -98,7 +98,8 @@ class KnowledgeBase:
 
         The store comes back cold (mmap-backed by default): queries,
         endpoints and the relation catalogue work immediately without a
-        rebuild, and the first mutation promotes the store transparently.
+        rebuild, and mutations go to the index overlays like on a built
+        store.
         """
         directory = Path(directory)
         try:

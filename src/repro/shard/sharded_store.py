@@ -228,10 +228,10 @@ class ShardedTripleStore:
     ) -> "ShardedTripleStore":
         """Reopen a snapshot directory written by :meth:`save`.
 
-        All shards share one :class:`LazyTermDictionary` over the
-        dictionary file, so the reopened store has exactly the saved ID
-        space; boundaries and the bounded flag are restored from the
-        manifest, making routing decisions identical to the saved store.
+        All shards share one :class:`TermDictionary` over the dictionary
+        file, so the reopened store has exactly the saved ID space;
+        boundaries and the bounded flag are restored from the manifest,
+        making routing decisions identical to the saved store.
         """
         from pathlib import Path
 
@@ -564,19 +564,16 @@ class ShardedTripleStore:
                 self._cut_points(distinct, len(shards)) if distinct else []
             )
             moved = 0
-            transfers: List[Dict[Tuple[int, int, int], Triple]] = [
-                {} for _ in shards
-            ]
+            transfers: List[Set[Tuple[int, int, int]]] = [set() for _ in shards]
             for index, shard in enumerate(shards):
                 outgoing = [
-                    (ids, triple)
-                    for ids, triple in shard.id_triples.items()
+                    ids
+                    for ids in shard.match_ids()
                     if bisect_right(new_boundaries, ids[0]) != index
                 ]
-                for _, triple in outgoing:
-                    shard.remove(triple)
-                for ids, triple in outgoing:
-                    transfers[bisect_right(new_boundaries, ids[0])][ids] = triple
+                shard.remove_ids(outgoing)
+                for ids in outgoing:
+                    transfers[bisect_right(new_boundaries, ids[0])].add(ids)
                 moved += len(outgoing)
             self._boundaries = new_boundaries
             for target, pending in enumerate(transfers):
@@ -649,53 +646,35 @@ class ShardedTripleStore:
         overlap.  Returns the number of new triples.
         """
         intern = self._dictionary.ids_map
-        staged: List[Tuple[Tuple[int, int, int], Triple]] = []
+        staged: List[Tuple[int, int, int]] = []
         for triple in triples:
             if not isinstance(triple, Triple):
                 raise StoreError(f"Expected a Triple, got {type(triple).__name__}")
-            ids = (
-                intern[triple.subject],
-                intern[triple.predicate],
-                intern[triple.object],
+            staged.append(
+                (intern[triple.subject], intern[triple.predicate], intern[triple.object])
             )
-            staged.append((ids, triple))
         if not staged:
             return 0
         boundaries_were_frozen = self._bounded
         if not self._bounded:
-            self._fix_boundaries(ids[0] for ids, _ in staged)
+            self._fix_boundaries(ids[0] for ids in staged)
 
-        # Partition into per-shard pre-staged batches, deduplicating
-        # against the owning shard (subjects are disjoint, so a duplicate
-        # can only collide with its own shard's content or partition).
-        # The shard's flat ID-triple map is fetched lazily on the first
-        # triple routed there: on a cold-opened snapshot, id_triples
-        # materialises the shard's Triple maps, and shards the batch
-        # never touches must stay frozen views.
+        # Partition into per-shard pre-staged batches; each shard skips
+        # what it already holds (subjects are disjoint, so a duplicate can
+        # only collide with its own shard's content or partition).
         shards = self._shards
-        partitions: List[Dict[Tuple[int, int, int], Triple]] = [{} for _ in shards]
-        existing: List[Optional[Dict[Tuple[int, int, int], Triple]]] = [
-            None for _ in shards
-        ]
+        partitions: List[Set[Tuple[int, int, int]]] = [set() for _ in shards]
         boundaries = self._boundaries
-        for ids, triple in staged:
-            index = bisect_right(boundaries, ids[0])
-            shard_existing = existing[index]
-            if shard_existing is None:
-                shard_existing = existing[index] = shards[index].id_triples
-            partition = partitions[index]
-            if ids in shard_existing or ids in partition:
-                continue
-            partition[ids] = triple
+        for ids in staged:
+            partitions[bisect_right(boundaries, ids[0])].add(ids)
 
         busy = sum(1 for partition in partitions if partition)
         if parallel is None:
             parallel = busy > 1
         if parallel and busy > 1:
-            # Every term is interned and deduplicated above, so the shard
-            # loads only *read* the shared dictionary and mutate their own
-            # indexes — no cross-thread writes to shared state, and the
-            # numpy column sort releases the GIL.
+            # Every term is interned above, so the shard loads touch only
+            # their own indexes — no cross-thread writes to shared state,
+            # and the numpy column sort releases the GIL.
             with ThreadPoolExecutor(max_workers=busy) as executor:
                 counts = list(
                     executor.map(

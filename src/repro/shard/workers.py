@@ -6,7 +6,7 @@ pipelines serialise on one core.  This module lifts evaluation out of a
 single interpreter.  A :class:`ProcessShardExecutor` spawns one worker
 process per shard (a smaller ``pool_size`` makes workers serve several
 shards each); every worker **mmap-opens** its shard's snapshot columns
-plus the shared lazy dictionary straight from the snapshot directory —
+plus the shared dictionary straight from the snapshot directory —
 no store is pickled across the process boundary and nothing is
 re-interned, so worker-side dictionary IDs are byte-for-byte the
 parent's and binding batches can travel as plain integers.
@@ -262,14 +262,14 @@ def _restrict_solutions(
 
 def _worker_diagnostics(worker_index, stores, dictionary, tasks_served) -> dict:
     """The payload of a ``pong`` reply: liveness plus the invariants the
-    no-re-intern property tests assert (lazy dictionary never promoted,
-    no shard index holding unfolded mutations)."""
+    no-re-intern property tests assert (no ID assigned by the worker's
+    own dictionary, no shard index holding unfolded mutations)."""
     return {
         "pid": os.getpid(),
         "worker": worker_index,
         "shards": sorted(stores),
         "triples": {index: len(store) for index, store in stores.items()},
-        "promoted": bool(getattr(dictionary, "is_promoted", True)),
+        "interned": dictionary.interned,
         "frozen": {index: store.is_frozen for index, store in stores.items()},
         "tasks_served": tasks_served,
     }
@@ -1258,10 +1258,11 @@ class ProcessShardExecutor:
         """Round-trip a health probe through the worker owning a shard.
 
         Returns the worker's diagnostics: pid, served shards, per-shard
-        triple counts, whether its lazy dictionary was ever promoted and
-        whether each shard's indexes are still frozen (no unfolded
-        mutations; a healthy read-only worker stays unpromoted and
-        frozen).
+        triple counts, how many IDs the worker's dictionary assigned by
+        interning (records read from the snapshot and its deltas do not
+        count) and whether each shard's indexes are still frozen (no
+        unfolded mutations; a healthy read-only worker interns nothing
+        and stays frozen).
         """
         stream = self._dispatch(shard_index, "ping")
         deadline = time.monotonic() + timeout

@@ -43,14 +43,15 @@ from the POS permutation plus dictionary kind bytes.
 
 Persistence (:mod:`repro.store.persist`) writes layers 1 and 2 as a
 versioned, checksummed snapshot that ``TripleStore.save`` writes and
-``TripleStore.open`` maps back in read-only — the dictionary becomes a
-lazily decoding :class:`LazyTermDictionary` over the string heap and each
+``TripleStore.open`` maps back in read-only — the dictionary's base is
+the mapped string heap, decoded term by term as reads touch it, and each
 index base is a view over the mmap'd CSR columns, so reopening skips the
-re-intern/re-sort rebuild entirely.  Mutations of a reopened store go to
-the index overlays; the mapped file is never written.
+re-intern/re-sort rebuild entirely.  A reopened store is the same object
+as a built one: its mutations go to the index overlays and new terms
+append past the dictionary's base; the mapped file is never written.
 """
 
-from repro.store.dictionary import LazyTermDictionary, TermDictionary
+from repro.store.dictionary import TermDictionary
 from repro.store.triplestore import TripleStore
 from repro.store.index import PermutationIndex
 from repro.store.stats import PredicateStatistics, StoreStatistics
@@ -59,7 +60,6 @@ from repro.store.bulk import load_ntriples_file, load_triples
 __all__ = [
     "TripleStore",
     "TermDictionary",
-    "LazyTermDictionary",
     "PermutationIndex",
     "PredicateStatistics",
     "StoreStatistics",

@@ -15,19 +15,21 @@ Snapshot support (:mod:`repro.store.persist`) serialises a dictionary as a
 **string heap + offset table**: every term is encoded to a self-delimiting
 byte record (:func:`encode_term_record`), the records are concatenated in
 ID order, and an ``int64`` offset table of ``n + 1`` entries marks the
-record boundaries.  :class:`LazyTermDictionary` reopens that layout without
-re-interning anything: ``decode`` parses one record on demand (memoising
-per ID) and ``id_for`` binary-searches a precomputed record-sorted ID
-permutation, so a cold-opened store resolves query constants in
-O(log n) record probes instead of paying an O(n) dictionary rebuild.  The
-first *interning* call promotes the lazy dictionary to the fully writable
-form transparently.
+record boundaries.  A dictionary reopened from a snapshot keeps those
+sections as its *base* and appends every later term past them, so a cold
+store resolves query constants in O(log n) record probes and decodes a
+term only when something asks for it, instead of paying an O(n)
+dictionary rebuild.  A dictionary built in memory is the same class with
+an empty base.
 """
 
 from __future__ import annotations
 
+from array import array
+from heapq import merge
 from struct import Struct
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from weakref import ref
 
 from repro.errors import StoreError
 from repro.rdf.terms import BlankNode, IRI, Literal, Term
@@ -44,11 +46,6 @@ _LIT_LANG = 1
 _LIT_DATATYPE = 2
 
 _U32 = Struct("<I")
-
-#: Entries allowed in a lazy dictionary's id_for memo before it is
-#: dropped and rebuilt — bounds the memory of long-lived read-only cold
-#: stores probed with ever-new constants (misses are memoised too).
-_ID_CACHE_LIMIT = 65536
 
 
 def encode_term_record(term: Term) -> bytes:
@@ -89,7 +86,7 @@ def decode_term_record(record) -> Term:
     """Rebuild the term encoded by :func:`encode_term_record`.
 
     Accepts any bytes-like object (a ``memoryview`` slice of the mmap'd
-    heap on the lazy decode path).
+    snapshot heap).
     """
     record = bytes(record)
     if not record:
@@ -113,36 +110,36 @@ def decode_term_record(record) -> Term:
     raise StoreError(f"Malformed term record (kind byte {kind})")
 
 
+def _kind_of(term: Term) -> int:
+    """The kind tag of ``term``; raises for non-terms."""
+    if isinstance(term, IRI):
+        return KIND_IRI
+    if isinstance(term, Literal):
+        return KIND_LITERAL
+    if isinstance(term, BlankNode):
+        return KIND_BLANK
+    raise StoreError(f"Cannot intern non-term value: {term!r}")
+
+
 class _InternMap(dict):
     """A ``Term -> ID`` dict that interns unknown terms on subscript miss.
 
-    Lookups of already-interned terms — the overwhelming majority during
+    Lookups of already-known terms — the overwhelming majority during
     bulk loads — stay entirely in C (`dict.__getitem__`); only a genuine
-    miss drops into :meth:`__missing__` to assign the next dense ID and
-    record the term and its kind byte.
+    miss drops into :meth:`__missing__`, which finds the term in the
+    dictionary's snapshot base or assigns it the next dense ID.  The map
+    holds its dictionary weakly: a reference cycle would keep a dropped
+    dictionary and all its terms alive until a full garbage collection.
     """
 
-    __slots__ = ("_terms", "_kinds")
+    __slots__ = ("_dictionary",)
 
-    def __init__(self, terms: List[Term], kinds: bytearray):
+    def __init__(self, dictionary: "TermDictionary"):
         super().__init__()
-        self._terms = terms
-        self._kinds = kinds
+        self._dictionary = ref(dictionary)
 
     def __missing__(self, term: Term) -> int:
-        if isinstance(term, IRI):
-            kind = KIND_IRI
-        elif isinstance(term, Literal):
-            kind = KIND_LITERAL
-        elif isinstance(term, BlankNode):
-            kind = KIND_BLANK
-        else:
-            raise StoreError(f"Cannot intern non-term value: {term!r}")
-        tid = len(self._terms)
-        self[term] = tid
-        self._terms.append(term)
-        self._kinds.append(kind)
-        return tid
+        return self._dictionary()._intern(term)
 
 
 class TermDictionary:
@@ -152,23 +149,63 @@ class TermDictionary:
     assigned the next free ID.  The reverse direction (:meth:`decode`) is a
     list lookup.  A per-ID kind byte answers "is this a literal/entity?"
     without materialising the term — the statistics layer relies on this.
+
+    The optional arguments are a snapshot's dictionary sections (see
+    :meth:`snapshot_columns`); they become the dictionary's **base**, IDs
+    ``0 .. n-1``, whose records stay in the (usually mmap'd) heap and are
+    not parsed up front.  :meth:`decode` parses a base record on first use.
+    :meth:`id_for` and interning look in the map of appended and already
+    resolved terms first, then binary-search the base's record-sorted ID
+    permutation on raw heap bytes, and keep each hit.  Interned terms and
+    snapshot-delta records (:meth:`extend_tail`) append past the base.  A
+    dictionary built in memory has an empty base.
     """
 
-    __slots__ = ("_ids", "_terms", "_kinds")
+    __slots__ = (
+        "_ids",
+        "_terms",
+        "_kinds",
+        "_heap",
+        "_offsets",
+        "_lookup",
+        "_loaded",
+        "__weakref__",
+    )
 
-    def __init__(self) -> None:
-        self._terms: List[Term] = []
-        self._kinds = bytearray()
-        self._ids: _InternMap = _InternMap(self._terms, self._kinds)
+    def __init__(
+        self,
+        heap=b"",
+        offsets: Sequence[int] = (0,),
+        kinds=b"",
+        lookup: Sequence[int] = (),
+    ) -> None:
+        count = len(offsets) - 1
+        if count < 0 or len(kinds) != count or len(lookup) != count:
+            raise StoreError("Inconsistent dictionary snapshot sections")
+        self._heap = heap
+        self._offsets = offsets
+        self._lookup = lookup
+        self._kinds = bytearray(kinds)
+        self._terms: List[Optional[Term]] = [None] * count
+        self._ids = _InternMap(self)
+        # IDs read from snapshot sections (the base and delta records);
+        # every ID past them was assigned by interning.
+        self._loaded = count
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __contains__(self, term: object) -> bool:
-        return term in self._ids
+        return self.id_for(term) is not None  # type: ignore[arg-type]
 
     def __repr__(self) -> str:
         return f"TermDictionary(size={len(self._terms)})"
+
+    @property
+    def interned(self) -> int:
+        """How many IDs this dictionary assigned by interning (records read
+        from snapshot sections, base or delta, do not count)."""
+        return len(self._terms) - self._loaded
 
     # ------------------------------------------------------------------ #
     # Encoding
@@ -179,15 +216,19 @@ class TermDictionary:
 
     def id_for(self, term: Term) -> Optional[int]:
         """The ID of ``term`` without interning; ``None`` if unknown."""
-        return self._ids.get(term)
+        tid = self._ids.get(term)
+        if tid is None:
+            tid = self._find(term)
+        return tid
 
     @property
     def ids_map(self) -> Dict[Term, int]:
         """The raw interning ``Term -> ID`` mapping.
 
-        Exposed so hot paths can intern (subscript) or probe (``.get``)
-        without a method call per term.  Subscripting interns on miss;
-        callers must not mutate it any other way.
+        Exposed so hot paths can intern by subscript without a method call
+        per term.  Subscripting interns on miss; it holds only appended
+        and already resolved terms, so probe with :meth:`id_for`, and do
+        not mutate it.
         """
         return self._ids
 
@@ -198,6 +239,63 @@ class TermDictionary:
             self.encode(triple.predicate),
             self.encode(triple.object),
         )
+
+    def _record(self, tid: int):
+        """The heap record of base ID ``tid``."""
+        return self._heap[self._offsets[tid] : self._offsets[tid + 1]]
+
+    def _find(self, term: Term) -> Optional[int]:
+        """Binary-search the base for ``term``, keeping a hit as resolved."""
+        lookup = self._lookup
+        if not len(lookup):
+            return None
+        try:
+            record = encode_term_record(term)
+        except StoreError:
+            return None  # a non-term probe matches nothing
+        low, high = 0, len(lookup)
+        while low < high:
+            mid = (low + high) // 2
+            if bytes(self._record(lookup[mid])) < record:
+                low = mid + 1
+            else:
+                high = mid
+        if low == len(lookup) or self._record(lookup[low]) != record:
+            return None
+        tid = lookup[low]
+        self._ids[term] = tid
+        self._terms[tid] = term
+        return tid
+
+    def _intern(self, term: Term) -> int:
+        """The base ID of ``term``, or the next free ID assigned to it."""
+        tid = self._find(term)
+        if tid is None:
+            kind = _kind_of(term)
+            tid = len(self._terms)
+            self._terms.append(term)
+            self._kinds.append(kind)
+            self._ids[term] = tid
+        return tid
+
+    def extend_tail(self, heap, offsets, kinds) -> None:
+        """Append snapshot-delta term records past the current ID space.
+
+        ``heap``/``offsets``/``kinds`` have the same layout as the base
+        sections (``offsets`` holds ``n + 1`` boundaries starting at 0).
+        The records receive the next dense IDs in order — exactly the IDs
+        they held when the delta was written, which the persist layer
+        validates via the delta's recorded base term count.
+        """
+        count = len(offsets) - 1
+        if count <= 0:
+            return
+        for index in range(count):
+            term = decode_term_record(heap[offsets[index] : offsets[index + 1]])
+            self._ids[term] = len(self._terms)
+            self._terms.append(term)
+        self._kinds += kinds
+        self._loaded += count
 
     # ------------------------------------------------------------------ #
     # Decoding
@@ -211,18 +309,22 @@ class TermDictionary:
             If ``tid`` was never assigned.
         """
         try:
-            return self._terms[tid]
+            term = self._terms[tid]
         except IndexError:
             raise StoreError(f"Unknown term ID: {tid}") from None
+        if term is None:
+            term = self._terms[tid] = decode_term_record(self._record(tid))
+            self._ids[term] = tid
+        return term
 
     def decode_triple(self, ids: Tuple[int, int, int]) -> Triple:
         """Rebuild a :class:`Triple` from an ID triple."""
-        terms = self._terms
-        return Triple(terms[ids[0]], terms[ids[1]], terms[ids[2]])  # type: ignore[arg-type]
+        decode = self.decode
+        return Triple(decode(ids[0]), decode(ids[1]), decode(ids[2]))  # type: ignore[arg-type]
 
     def terms(self) -> Iterator[Term]:
         """All interned terms, in ID order."""
-        return iter(self._terms)
+        return map(self.decode, range(len(self._terms)))
 
     # ------------------------------------------------------------------ #
     # Kind queries (no term materialisation)
@@ -260,276 +362,25 @@ class TermDictionary:
         Returns ``(heap, offsets, kinds, lookup)``: the concatenated term
         records in ID order, the ``n + 1`` record-boundary offsets, the
         per-ID kind bytes, and the ID permutation sorted by record bytes
-        (what :meth:`LazyTermDictionary.id_for` binary-searches).  The
-        output is deterministic for a given term sequence, which is what
-        makes saving an unmutated reopened store byte-identical.
+        (what :meth:`id_for` binary-searches).  The base sections go out
+        verbatim, followed by the appended terms' records; the lookup
+        merges the base's with the sorted appended IDs.  The output is
+        deterministic for a given term sequence, which is what makes
+        saving an unmutated reopened store byte-identical.
         """
-        from array import array
-
-        heap = bytearray()
-        offsets = array("q", [0])
-        records: List[bytes] = []
-        for term in self.terms():
-            record = encode_term_record(term)
-            records.append(record)
-            heap += record
-            offsets.append(len(heap))
-        lookup = array("q", sorted(range(len(records)), key=records.__getitem__))
-        return bytes(heap), offsets, bytes(self._kinds), lookup
-
-
-class LazyTermDictionary(TermDictionary):
-    """A read-only :class:`TermDictionary` view over snapshot sections.
-
-    Construction is O(1) in the number of interned terms (one ``None``
-    placeholder list aside): no record is parsed and no ``Term`` object is
-    built until something asks for it.
-
-    * :meth:`decode` parses the requested record from the heap on first
-      use and memoises the term per ID;
-    * :meth:`id_for` binary-searches the record-sorted ID permutation,
-      comparing raw heap bytes — O(log n) probes, no interning;
-    * the first call that must *intern* (``encode`` of an unknown term, or
-      grabbing :attr:`ids_map` for a staging loop) transparently
-      **promotes** the dictionary: every record is decoded once and the
-      writable ``Term -> ID`` map is built, after which behaviour is
-      exactly that of a warm :class:`TermDictionary`.
-    """
-
-    __slots__ = (
-        "_heap",
-        "_offsets",
-        "_lookup",
-        "_id_cache",
-        "_promoted",
-        "_base_count",
-        "_tail_heap",
-        "_tail_offsets",
-        "_tail_kinds",
-        "_tail_ids",
-    )
-
-    def __init__(
-        self,
-        heap: memoryview,
-        offsets: memoryview,
-        kinds: memoryview,
-        lookup: memoryview,
-    ):
-        count = len(offsets) - 1
-        if count < 0 or len(kinds) != count or len(lookup) != count:
-            raise StoreError("Inconsistent dictionary snapshot sections")
-        self._heap = heap
-        self._offsets = offsets
-        self._lookup = lookup
-        # Memoised id_for results (misses included): the SPARQL evaluator
-        # re-resolves a query's constant terms once per pattern probe, so
-        # without this every probe would repeat the O(log n) record
-        # search.  Safe because the dictionary is immutable until
-        # promotion, and superseded by the real interning map afterwards.
-        self._id_cache: Dict[Term, Optional[int]] = {}
-        self._terms = [None] * count  # type: ignore[list-item]
-        self._kinds = kinds  # type: ignore[assignment]
-        self._ids = _InternMap([], bytearray())  # replaced on promotion
-        self._promoted = False
-        # Snapshot-delta tail: records appended by extend_tail() past the
-        # base sections.  The tail stays outside the record-sorted lookup
-        # permutation (recomputing it would be O(n log n) and defeat the
-        # O(1 + tail) delta reopen); id_for consults the small exact-match
-        # map for tail IDs instead.
-        self._base_count = count
-        self._tail_heap = bytearray()
-        self._tail_offsets: List[int] = [0]
-        self._tail_kinds = bytearray()
-        self._tail_ids: Dict[bytes, int] = {}
-
-    @property
-    def is_promoted(self) -> bool:
-        """Whether the writable interning map has been built."""
-        return self._promoted
-
-    def _record(self, tid: int):
-        if tid < self._base_count:
-            return self._heap[self._offsets[tid] : self._offsets[tid + 1]]
-        index = tid - self._base_count
-        return memoryview(self._tail_heap)[
-            self._tail_offsets[index] : self._tail_offsets[index + 1]
-        ]
-
-    def extend_tail(self, heap, offsets, kinds) -> None:
-        """Append snapshot-delta term records past the current ID space.
-
-        ``heap``/``offsets``/``kinds`` have the same layout as the base
-        dictionary sections (``offsets`` holds ``n + 1`` boundaries
-        starting at 0).  The records receive the next dense IDs in order
-        — exactly the IDs they held when the delta was written, which the
-        persist layer validates via the delta's recorded base term count.
-        Unpromoted, the tail is indexed by an exact-record map (the
-        base lookup permutation is left untouched); a promoted dictionary
-        interns the decoded terms directly.
-        """
-        count = len(offsets) - 1
-        if count <= 0:
-            return
-        if self._promoted:
-            ids = self._ids
-            for index in range(count):
-                ids[decode_term_record(heap[offsets[index] : offsets[index + 1]])]
-            return
-        start = len(self._terms)
-        grown = len(self._tail_heap)
-        self._tail_heap += bytes(heap)
-        tail_offsets = self._tail_offsets
-        for index in range(count):
-            tail_offsets.append(grown + offsets[index + 1])
-        self._tail_kinds += bytes(kinds)
-        self._terms.extend([None] * count)
-        tail_ids = self._tail_ids
-        for index in range(count):
-            tail_ids[bytes(self._record(start + index))] = start + index
-
-    @property
-    def has_tail(self) -> bool:
-        """Whether delta term records were appended past the base sections."""
-        return len(self._tail_offsets) > 1
-
-    def _promote(self) -> None:
-        """Build the writable interning state (idempotent)."""
-        if self._promoted:
-            return
-        terms = self._terms
-        for tid in range(len(terms)):
-            if terms[tid] is None:
-                terms[tid] = decode_term_record(self._record(tid))
-        kinds = bytearray(self._kinds)
-        kinds += self._tail_kinds
-        ids = _InternMap(terms, kinds)
-        ids.update((term, tid) for tid, term in enumerate(terms))
-        self._kinds = kinds
-        self._ids = ids
-        self._promoted = True
-
-    # -- encoding ------------------------------------------------------ #
-    def encode(self, term: Term) -> int:
-        tid = self.id_for(term)
-        if tid is not None:
-            return tid
-        self._promote()
-        return self._ids[term]
-
-    def id_for(self, term: Term) -> Optional[int]:
-        if self._promoted:
-            return self._ids.get(term)
-        cache = self._id_cache
-        if term in cache:
-            return cache[term]
-        try:
-            record = encode_term_record(term)
-        except StoreError:
-            return None  # non-term probe: the warm dict.get returns None too
-        if self._tail_ids:
-            tail_tid = self._tail_ids.get(record)
-            if tail_tid is not None:
-                cache[term] = tail_tid
-                return tail_tid
-        lookup = self._lookup
-        low, high = 0, len(lookup)
-        while low < high:
-            mid = (low + high) // 2
-            if bytes(self._record(lookup[mid])) < record:
-                low = mid + 1
-            else:
-                high = mid
-        tid: Optional[int] = None
-        if low < len(lookup):
-            candidate = lookup[low]
-            if self._record(candidate) == record:
-                tid = candidate
-        if len(cache) >= _ID_CACHE_LIMIT:
-            cache.clear()  # memo only — dropping it costs re-probes, not answers
-        cache[term] = tid
-        return tid
-
-    @property
-    def ids_map(self) -> Dict[Term, int]:
-        self._promote()
-        return self._ids
-
-    def __contains__(self, term: object) -> bool:
-        if self._promoted:
-            return term in self._ids
-        return self.id_for(term) is not None  # type: ignore[arg-type]
-
-    # -- kind queries --------------------------------------------------- #
-    def kind(self, tid: int) -> int:
-        if not self._promoted and tid >= self._base_count:
-            try:
-                return self._tail_kinds[tid - self._base_count]
-            except IndexError:
-                raise StoreError(f"Unknown term ID: {tid}") from None
-        return super().kind(tid)
-
-    def kinds_of(self, tids: List[int]) -> bytes:
-        if self._promoted or not self.has_tail:
-            return super().kinds_of(tids)
-        return bytes(map(self.kind, tids))
-
-    def is_literal_id(self, tid: int) -> bool:
-        kinds = self._kinds
-        if self._promoted or tid < len(kinds):
-            return kinds[tid] == KIND_LITERAL
-        return self._tail_kinds[tid - self._base_count] == KIND_LITERAL
-
-    def is_entity_id(self, tid: int) -> bool:
-        return not self.is_literal_id(tid)
-
-    # -- decoding ------------------------------------------------------ #
-    def decode(self, tid: int) -> Term:
-        try:
-            term = self._terms[tid]
-        except IndexError:
-            raise StoreError(f"Unknown term ID: {tid}") from None
-        if term is None:
-            term = decode_term_record(self._record(tid))
-            self._terms[tid] = term
-        return term
-
-    def decode_triple(self, ids: Tuple[int, int, int]) -> Triple:
-        decode = self.decode
-        return Triple(decode(ids[0]), decode(ids[1]), decode(ids[2]))  # type: ignore[arg-type]
-
-    def terms(self) -> Iterator[Term]:
-        return (self.decode(tid) for tid in range(len(self._terms)))
-
-    # -- serialisation ------------------------------------------------- #
-    def snapshot_columns(self) -> Tuple[bytes, object, bytes, object]:
-        """Snapshot sections; raw views are passed through unpromoted.
-
-        An unpromoted lazy dictionary hands back its original section
-        bytes verbatim (no record is decoded), which both keeps resaving a
-        cold store cheap and guarantees byte identity.  With a delta tail
-        the heap/offsets/kinds concatenate (still no Term is decoded) and
-        only the lookup permutation is recomputed over raw record bytes —
-        the deterministic output a warm dictionary holding the same terms
-        would produce.  Once promoted it falls back to the generic
-        deterministic builder.
-        """
-        from array import array
-
-        if self._promoted:
-            return super().snapshot_columns()
-        if not self.has_tail:
+        base = len(self._lookup)
+        if len(self._terms) == base:
             return bytes(self._heap), self._offsets, bytes(self._kinds), self._lookup
-        base_len = len(self._heap)
-        heap = bytes(self._heap) + bytes(self._tail_heap)
+        heap = bytearray(self._heap)
         offsets = array("q", self._offsets)
-        offsets.extend(base_len + bound for bound in self._tail_offsets[1:])
-        kinds = bytes(self._kinds) + bytes(self._tail_kinds)
-        lookup = array(
-            "q",
-            sorted(
-                range(len(self._terms)),
-                key=lambda tid: bytes(self._record(tid)),
-            ),
-        )
-        return heap, offsets, kinds, lookup
+        for term in self._terms[base:]:
+            heap += encode_term_record(term)  # type: ignore[arg-type]
+            offsets.append(len(heap))
+        heap = bytes(heap)
+
+        def record(tid: int) -> bytes:
+            return heap[offsets[tid] : offsets[tid + 1]]
+
+        appended = sorted(range(base, len(self._terms)), key=record)
+        lookup = array("q", merge(self._lookup, appended, key=record))
+        return heap, offsets, bytes(self._kinds), lookup

@@ -75,8 +75,8 @@ def _int64(column) -> np.ndarray:
 
 
 def _merge_rows(columns, drop, extra):
-    """Sorted row columns minus the rows at positions ``drop``, plus the
-    ``extra`` row tuples, re-sorted lexicographically."""
+    """Row columns minus the rows at positions ``drop``, with the ``extra``
+    row tuples appended after them (not re-sorted)."""
     if drop:
         keep = np.ones(columns[0].size, dtype=bool)
         keep[np.fromiter(drop, dtype=np.int64, count=len(drop))] = False
@@ -87,9 +87,13 @@ def _merge_rows(columns, drop, extra):
             np.concatenate((column, added[:, position]))
             for position, column in enumerate(columns)
         ]
-        order = np.lexsort(columns[::-1])
-        columns = [column[order] for column in columns]
     return columns
+
+
+def _lexsorted(columns):
+    """Row columns re-sorted lexicographically."""
+    order = np.lexsort(columns[::-1])
+    return [column[order] for column in columns]
 
 
 def _column(values=()) -> memoryview:
@@ -306,9 +310,8 @@ class PermutationIndex:
             self._base_position(key, second, third) - start
             for second, third in delta.removed
         ]
-        second_col, third_col = _merge_rows(
-            [second_col, _int64(thirds)], drop, list(delta.added)
-        )
+        columns = _merge_rows([second_col, _int64(thirds)], drop, list(delta.added))
+        second_col, third_col = _lexsorted(columns) if delta.added else columns
         _, _, seconds, bounds, thirds = csr_from_sorted(
             np.full(second_col.size, key, dtype=np.int64), second_col, third_col
         )
@@ -316,6 +319,15 @@ class PermutationIndex:
 
     def rows(self):
         """Every entry as three sorted int64 columns ``(keys, seconds, thirds)``."""
+        columns = self.unsorted_rows()
+        if any(delta.added for delta in self._delta.values()):
+            columns = _lexsorted(columns)
+        return tuple(columns)
+
+    def unsorted_rows(self):
+        """Every entry as three int64 columns: the base's entries in sorted
+        order minus the removed ones, then the added entries, unsorted —
+        for the store's fold, which sorts them once."""
         keys, key_groups, seconds, group_starts, thirds = map(_int64, self.columns())
         per_group = np.diff(group_starts)
         key_col = np.repeat(np.repeat(keys, np.diff(key_groups)), per_group)

@@ -6,8 +6,10 @@ heap + offset table) and each index order's sorted ID columns, and that
 reopens without re-sorting or re-interning anything — the cold store's
 index bases are :class:`~repro.store.index.PermutationIndex` column views
 straight over the mapped file, and its dictionary is a
-:class:`~repro.store.dictionary.LazyTermDictionary` that decodes strings on
-demand.  The planner, merge/hash joins, scatter router and O(1) COUNT
+:class:`~repro.store.dictionary.TermDictionary` whose base is the mapped
+string heap, decoded term by term on demand.  The reopened store is the
+same object a built one is; nothing on it depends on how it was made.
+The planner, merge/hash joins, scatter router and O(1) COUNT
 paths all read the same ``count_for_key`` / ``third_count`` /
 ``sorted_run_ids`` bookkeeping they read on a warm store.
 
@@ -38,17 +40,18 @@ Dictionary sections: ``dict/heap`` (concatenated
 :func:`~repro.store.dictionary.encode_term_record` records in ID order),
 ``dict/offsets`` (``terms + 1`` int64 record boundaries), ``dict/kinds``
 (one kind byte per ID), ``dict/lookup`` (the ID permutation sorted by
-record bytes, binary-searched by lazy ``id_for``).  Index sections, for
-each order ``spo`` / ``pos`` / ``osp``: the five CSR columns ``keys``,
-``key_groups``, ``seconds``, ``group_starts``, ``thirds`` described on
-:class:`PermutationIndex`.  Saving folds the store's index overlays into
-their bases first (:meth:`TripleStore._fold`) and writes the base columns
-verbatim.
+record bytes, binary-searched by ``TermDictionary.id_for``).  Index
+sections, for each order ``spo`` / ``pos`` / ``osp``: the five CSR
+columns ``keys``, ``key_groups``, ``seconds``, ``group_starts``,
+``thirds`` described on :class:`PermutationIndex`.  Saving folds the
+store's index overlays into their bases first (:meth:`TripleStore._fold`)
+and writes the base columns verbatim.
 
 A sharded snapshot is a directory: ``manifest.json`` (shard topology +
 self-CRC), one shared dictionary container and one columns container per
-shard — every shard reopens over the same :class:`LazyTermDictionary`,
-so the ID space survives exactly.  Payload files carry a **generation
+shard — every shard reopens over the same shared
+:class:`~repro.store.dictionary.TermDictionary`, so the ID space survives
+exactly.  Payload files carry a **generation
 suffix** (``dictionary-g3.snap``, ``shard0-g3.snap``, ...) and the
 manifest — which names its generation's files — is replaced *last* and
 atomically: a crash anywhere mid-save leaves the previous manifest
@@ -78,11 +81,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import SnapshotCorruptError, StoreError
-from repro.store.dictionary import (
-    LazyTermDictionary,
-    TermDictionary,
-    encode_term_record,
-)
+from repro.store.dictionary import TermDictionary, encode_term_record
 from repro.store.index import PermutationIndex
 
 MAGIC = b"RPROSNAP"
@@ -282,8 +281,8 @@ def _load_buffer(path: Union[str, Path], use_mmap: bool):
 # Section builders
 # --------------------------------------------------------------------- #
 def dictionary_sections(dictionary: TermDictionary) -> List[Tuple[str, bytes]]:
-    """The four dictionary sections (raw pass-through for unpromoted
-    lazy dictionaries, deterministic rebuild otherwise)."""
+    """The four dictionary sections (the snapshot base verbatim, then the
+    records of the terms appended since)."""
     heap, offsets, kinds, lookup = dictionary.snapshot_columns()
     return [
         ("dict/heap", bytes(heap)),
@@ -406,10 +405,6 @@ def _apply_deltas(
                 raise SnapshotCorruptError(
                     "Delta chain term counts are inconsistent with the base"
                 )
-            if not isinstance(dictionary, LazyTermDictionary):
-                raise SnapshotCorruptError(
-                    "Delta term tails require a lazy base dictionary"
-                )
             dictionary.extend_tail(
                 views["dterms/heap"], offsets, views["dterms/kinds"]
             )
@@ -455,15 +450,15 @@ def _apply_deltas(
             f"Delta chain replays to {len(replayed)} triples, "
             f"the last delta recorded {expected}"
         )
-    # The dictionary's views may alias the base buffer; keep it (and the
-    # delta buffers cost nothing — extend_tail copied what it needed).
+    # The dictionary's views may alias the base buffer; keep it (the
+    # delta buffers may go — extend_tail decoded what it needed).
     replayed._snapshot_retained = store._snapshot_retained
     return replayed
 
 
 def _build_dictionary(
     header: dict, sections: Dict[str, memoryview]
-) -> LazyTermDictionary:
+) -> TermDictionary:
     for tag in DICT_SECTIONS:
         if tag not in sections:
             raise SnapshotCorruptError(f"Snapshot missing section {tag!r}")
@@ -477,7 +472,7 @@ def _build_dictionary(
     if len(offsets) and (offsets[0] != 0 or offsets[len(offsets) - 1] != len(heap)):
         raise SnapshotCorruptError("Dictionary offsets do not span the string heap")
     try:
-        return LazyTermDictionary(
+        return TermDictionary(
             heap=heap,
             offsets=offsets,
             kinds=sections["dict/kinds"],
@@ -1099,7 +1094,7 @@ def _read_manifest(directory: Path) -> dict:
 
 def _open_shared_dictionary(
     directory: Path, manifest: dict, mmap: bool, verify: bool
-) -> Tuple[LazyTermDictionary, object]:
+) -> Tuple[TermDictionary, object]:
     """Open a sharded snapshot's shared dictionary file.
 
     The one prologue both the parent-side :func:`open_sharded_store` and
@@ -1132,7 +1127,7 @@ def _open_shared_dictionary(
             _int64_view(delta_views["dterms/offsets"], "dterms/offsets"),
             delta_views["dterms/kinds"],
         )
-        # extend_tail copies the records it keeps; the delta buffer may go.
+        # extend_tail decodes the records it keeps; the delta buffer may go.
     if len(dictionary) != manifest["terms"]:
         raise SnapshotCorruptError(
             "Dictionary delta chain does not reach the manifest's term count"
@@ -1186,7 +1181,7 @@ def open_shard_stores(
     verify: bool = True,
 ):
     """Open a subset of a sharded snapshot's shards over one shared
-    lazy dictionary.
+    dictionary.
 
     This is the worker-process entry point of the process-parallel
     executor (:mod:`repro.shard.workers`): each worker mmap-opens *its*

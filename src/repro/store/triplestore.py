@@ -35,13 +35,19 @@ plus a small per-key overlay of added and removed entries.
 :meth:`~TripleStore.bulk_load` share one write path into the overlays
 (:meth:`TripleStore._write`), which folds them into fresh bases once they
 pass a share of the store; saving folds too.  Reads never fold.
+
+The three indexes are the only copy of the triples: membership probes the
+SPO index, and :meth:`~TripleStore.match` and iteration decode ID rows, in
+ascending SPO ID order.  A store built in memory and one reopened from a
+snapshot are the same object, differing only in where their index bases
+and dictionary base live.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -144,18 +150,6 @@ class TripleStore:
         # instead of sizes, so an add+remove pair cannot masquerade as "no
         # change" and leave stale cached plans behind.
         self._version = 0
-        # Flat ID-tuple -> Triple map: free materialisation (match() hands
-        # back the instance added, instead of rebuilding a Triple per
-        # matched row), plus its inverse for one-probe membership tests:
-        # Triple hashes are cached on the instance, so `t in store` costs a
-        # single dict lookup instead of three term->ID translations.
-        self._triples: Dict[Tuple[int, int, int], Triple] = {}
-        self._triple_ids: Dict[Triple, Tuple[int, int, int]] = {}
-        # Cold-opened stores (TripleStore.open, from_id_columns) start with
-        # a lazy dictionary and *no* materialised Triple maps: reads and
-        # single add()/remove() calls answer from the indexes alone until
-        # something needs the maps (_ensure_triples).
-        self._lazy_triples = False
         self._snapshot_retained = None  # keeps the mmap buffer alive
         # Net mutation journal since the last snapshot point: (added,
         # removed) ID-triple sets, or None once the journal is lost
@@ -176,19 +170,10 @@ class TripleStore:
         osp: PermutationIndex,
         retained=None,
     ) -> "TripleStore":
-        """Assemble a cold store over CSR index bases (persist layer)."""
-        store = cls.__new__(cls)
-        store.name = name
-        store._dictionary = dictionary
-        store._spo = spo
-        store._pos = pos
-        store._osp = osp
-        store._version = 0
-        store._triples = {}
-        store._triple_ids = {}
-        store._lazy_triples = True
+        """Assemble a store over CSR index bases (persist layer)."""
+        store = cls(name, dictionary=dictionary)
+        store._spo, store._pos, store._osp = spo, pos, osp
         store._snapshot_retained = retained
-        store._journal = (set(), set())
         return store
 
     @classmethod
@@ -206,9 +191,8 @@ class TripleStore:
         sorted and deduplicated columnwise in numpy and the three
         permutation indexes are built as CSR bases — no per-fact
         :class:`Triple` objects, no Python containers proportional to the
-        row count.  The store starts in the same lazy state a cold-opened
-        snapshot does, so saving it writes the columns verbatim.  All IDs
-        must have been interned through ``dictionary``.
+        row count; saving it writes the columns verbatim.  All IDs must
+        have been interned through ``dictionary``.
         """
         _, permutations = cls._csr_permutations(subjects, predicates, objects)
         return cls._from_snapshot(name, dictionary, *_indexes(permutations))
@@ -308,23 +292,10 @@ class TripleStore:
         overlays are empty)."""
         return not self._spo.pending
 
-    def _ensure_triples(self) -> None:
-        """Materialise the ID-triple <-> Triple maps of a cold store."""
-        if not self._lazy_triples:
-            return
-        decode = self._dictionary.decode_triple
-        triples = self._triples
-        triple_ids = self._triple_ids
-        for ids in self._spo.triples():
-            triple = decode(ids)
-            triples[ids] = triple
-            triple_ids[triple] = ids
-        self._lazy_triples = False
-
     def _write(
         self,
-        added: Sequence[Tuple[int, int, int]],
-        removed: Sequence[Tuple[int, int, int]] = (),
+        added: Collection[Tuple[int, int, int]],
+        removed: Collection[Tuple[int, int, int]] = (),
     ) -> None:
         """The one write path into the three permutation indexes.
 
@@ -347,14 +318,16 @@ class TripleStore:
             pos.add(p, o, s)
             osp.add(o, s, p)
 
-    def _fold(self, added: Sequence[Tuple[int, int, int]] = ()) -> None:
+    def _fold(self, added: Collection[Tuple[int, int, int]] = ()) -> None:
         """Fold the index overlays, plus ``added`` new ID triples, into
         fresh CSR bases.
 
-        The three new indexes replace the old ones whole, so a reader
-        still holding an old index keeps a consistent base and overlay.
+        The rows go to :meth:`_csr_permutations` unsorted, which sorts
+        them once.  The three new indexes replace the old ones whole, so a
+        reader still holding an old index keeps a consistent base and
+        overlay.
         """
-        s, p, o = self._spo.rows()
+        s, p, o = self._spo.unsorted_rows()
         if added:
             extra = np.fromiter(
                 chain.from_iterable(added), dtype=np.int64, count=3 * len(added)
@@ -408,14 +381,11 @@ class TripleStore:
         """Add a triple.  Returns ``True`` if the store changed."""
         if not isinstance(triple, Triple):
             raise StoreError(f"Expected a Triple, got {type(triple).__name__}")
-        if triple in self:
-            return False
         encode = self._dictionary.encode
         ids = (encode(triple.subject), encode(triple.predicate), encode(triple.object))
+        if self._spo.contains(*ids):
+            return False
         self._write((ids,))
-        if not self._lazy_triples:
-            self._triples[ids] = triple
-            self._triple_ids[triple] = ids
         self._version += 1
         self._journal_add(ids)
         return True
@@ -441,64 +411,52 @@ class TripleStore:
         rebuilds the CSR bases in numpy (one sort per index order; an
         empty store is built directly).  Equivalent to :meth:`add_all`
         (duplicates within the batch and against existing content are
-        skipped, first instance wins) but several times faster on large
-        batches.
+        skipped) but several times faster on large batches.
         """
         # Subscripting the interning map interns on miss entirely in C for
         # already-seen terms (the overwhelming case in a batch).
-        self._ensure_triples()
         intern = self._dictionary.ids_map
-        triples_map = self._triples
         # Stage the batch before touching any store structure: if the input
         # iterable (or a non-Triple element) raises mid-batch, the store is
         # left exactly as it was — interned terms aside, which is the same
-        # guarantee `add` gives.  First instance wins within the batch.
-        pending: Dict[Tuple[int, int, int], Triple] = {}
+        # guarantee `add` gives.
+        pending: Set[Tuple[int, int, int]] = set()
         for triple in triples:
             if not isinstance(triple, Triple):
                 raise StoreError(f"Expected a Triple, got {type(triple).__name__}")
-            ids = (
-                intern[triple.subject],
-                intern[triple.predicate],
-                intern[triple.object],
+            pending.add(
+                (intern[triple.subject], intern[triple.predicate], intern[triple.object])
             )
-            if ids in triples_map or ids in pending:
-                continue
-            pending[ids] = triple
         return self.bulk_load_pending(pending)
 
-    def bulk_load_pending(
-        self, pending: Dict[Tuple[int, int, int], Triple]
-    ) -> int:
+    def bulk_load_pending(self, pending: Set[Tuple[int, int, int]]) -> int:
         """The load phase of :meth:`bulk_load`, for pre-staged batches.
 
-        ``pending`` maps ID triples (encoded through *this store's*
-        dictionary) to their Triple instances; entries must be new to the
-        store and internally deduplicated — exactly what the staging loop
-        of :meth:`bulk_load` produces.  The sharded store stages a batch
-        once (intern, route, dedupe per shard) and hands each shard its
-        partition here, so building N shards costs one staging pass, not
-        N+1.
+        ``pending`` holds ID triples encoded through *this store's*
+        dictionary; those the store already holds are skipped.  The
+        sharded store stages a batch once (intern, route, dedupe per
+        shard) and hands each shard its partition here, so building N
+        shards costs one staging pass, not N+1.
         """
+        if len(self._spo):
+            contains = self._spo.contains
+            pending = {ids for ids in pending if not contains(*ids)}
         count = len(pending)
         if not count:
             return 0
         self._version += 1
-        if not self._lazy_triples:
-            self._triple_ids.update(zip(pending.values(), pending.keys()))
-            self._triples.update(pending)
         journal = self._journal
         if journal is not None:
             added, removed = journal
             if removed:
-                re_added = removed & pending.keys()
+                re_added = removed & pending
                 removed -= re_added
-                added.update(pending.keys() - re_added)
+                added.update(pending - re_added)
             else:
-                added.update(pending.keys())
+                added.update(pending)
             if len(added) + len(removed) > _JOURNAL_LIMIT:
                 self._journal = None
-        self._write(list(pending))
+        self._write(pending)
         return count
 
     def remove(self, triple: Triple) -> bool:
@@ -507,18 +465,20 @@ class TripleStore:
         Dictionary IDs are *not* reclaimed: interned terms keep their IDs
         for the lifetime of the store.
         """
-        if triple not in self:
+        ids = self._stored_ids(triple)
+        if ids is None:
             return False
-        if self._lazy_triples:
-            id_for = self._dictionary.id_for
-            ids = (id_for(triple.subject), id_for(triple.predicate), id_for(triple.object))
-        else:
-            ids = self._triple_ids.pop(triple)
-            del self._triples[ids]
-        self._write((), (ids,))
-        self._version += 1
-        self._journal_remove(ids)
+        self.remove_ids((ids,))
         return True
+
+    def remove_ids(self, removed: Collection[Tuple[int, int, int]]) -> None:
+        """Remove ID triples that are all present in the store."""
+        if not removed:
+            return
+        self._write((), removed)
+        self._version += 1
+        for ids in removed:
+            self._journal_remove(ids)
 
     def clear(self) -> None:
         """Remove every triple.
@@ -531,9 +491,6 @@ class TripleStore:
         self._spo = PermutationIndex()
         self._pos = PermutationIndex()
         self._osp = PermutationIndex()
-        self._lazy_triples = False
-        self._triples.clear()
-        self._triple_ids.clear()
         # A cleared store's net change is "everything the snapshot had is
         # gone" — cheaper to re-snapshot fully than to journal per triple.
         self._journal = None
@@ -566,24 +523,8 @@ class TripleStore:
         return self._dictionary.decode(tid)
 
     def contains_ids(self, s: int, p: int, o: int) -> bool:
-        """Membership test in ID space — one tuple-hash probe (an index
-        probe on a cold-opened store)."""
-        if self._lazy_triples:
-            return self._spo.contains(s, p, o)
-        return (s, p, o) in self._triples
-
-    @property
-    def id_triples(self) -> Dict[Tuple[int, int, int], Triple]:
-        """The raw ``ID-triple -> Triple`` map (do not mutate).
-
-        Exposed, like :attr:`TermDictionary.ids_map`, so hot batch paths
-        (the sharded store's staging loop) can dedupe with a plain dict
-        probe instead of a method call per triple.  On a cold-opened
-        store this materialises the map first (callers on this path are
-        about to mutate anyway).
-        """
-        self._ensure_triples()
-        return self._triples
+        """Membership test in ID space — one SPO index probe."""
+        return self._spo.contains(s, p, o)
 
     def match_ids(
         self,
@@ -765,29 +706,24 @@ class TripleStore:
     def __len__(self) -> int:
         return len(self._spo)
 
-    def __contains__(self, triple: object) -> bool:
-        # One flat-map probe: Triple caches its hash at construction, so
-        # this skips the three per-term ID translations and tuple build
-        # the previous implementation paid on every call.
+    def _stored_ids(self, triple: object) -> Optional[Tuple[int, int, int]]:
+        """The ID triple of ``triple`` if the store holds it, else ``None``."""
         if not isinstance(triple, Triple):
-            return False
-        if self._lazy_triples:
-            # Cold store: three lazy ID lookups + one index probe, so a
-            # membership probe never materialises the Triple maps.
-            id_for = self._dictionary.id_for
-            s = id_for(triple.subject)
-            p = id_for(triple.predicate)
-            o = id_for(triple.object)
-            if s is None or p is None or o is None:
-                return False
-            return self._spo.contains(s, p, o)
-        return triple in self._triple_ids
+            return None
+        id_for = self._dictionary.id_for
+        s = id_for(triple.subject)
+        p = id_for(triple.predicate)
+        o = id_for(triple.object)
+        if s is None or p is None or o is None or not self._spo.contains(s, p, o):
+            return None
+        return s, p, o
+
+    def __contains__(self, triple: object) -> bool:
+        return self._stored_ids(triple) is not None
 
     def __iter__(self) -> Iterator[Triple]:
-        if self._lazy_triples:
-            decode = self._dictionary.decode_triple
-            return (decode(ids) for ids in self._spo.triples())
-        return iter(self._triples.values())
+        """Every triple, in ascending SPO ID order."""
+        return map(self._dictionary.decode_triple, self._spo.triples())
 
     def __repr__(self) -> str:
         return f"TripleStore(name={self.name!r}, size={len(self)})"
@@ -807,24 +743,15 @@ class TripleStore:
     ) -> Iterator[Triple]:
         """Yield all triples matching the given (possibly wildcard) pattern.
 
-        ``None`` in any position means "match anything".
+        ``None`` in any position means "match anything".  Triples come in
+        the order of the index that answers the pattern.
         """
         s = self._resolve(subject)
         p = self._resolve(predicate)
         o = self._resolve(object)
         if s is _MISS or p is _MISS or o is _MISS:
             return
-        if s is None and p is None and o is None:
-            yield from iter(self)
-            return
-        if self._lazy_triples:
-            decode = self._dictionary.decode_triple
-            for ids in self.match_ids(s, p, o):
-                yield decode(ids)
-            return
-        triples = self._triples
-        for ids in self.match_ids(s, p, o):
-            yield triples[ids]
+        yield from map(self._dictionary.decode_triple, self.match_ids(s, p, o))
 
     def match_pattern(self, pattern: TriplePattern) -> Iterator[Triple]:
         """:meth:`match` taking a :class:`~repro.rdf.triple.TriplePattern`."""

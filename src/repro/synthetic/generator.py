@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SyntheticDataError
 from repro.kb.knowledge_base import KnowledgeBase
@@ -242,16 +242,28 @@ class WorldGenerator:
         )
         kb = KnowledgeBase(name=kb_spec.name, namespace=kb_spec.namespace, store=store)
         used_entities: set = set()
-        # Facts are accumulated and bulk-loaded in one batch at the end so
-        # the store takes its columnar sort-once construction path instead
-        # of three index insertions per fact.
-        pending: List[Triple] = []
+        # Facts stream into one bulk load, so the store takes its columnar
+        # sort-once construction path instead of three index insertions
+        # per fact, and each generated Triple is freed once it is interned
+        # instead of piling up for the garbage collector to scan.
+        kb.add_triples(
+            self._kb_facts(kb_spec, canonical_facts, entities, used_entities)
+        )
+        return kb, used_entities
 
+    def _kb_facts(
+        self,
+        kb_spec: KBSpec,
+        canonical_facts: Dict[str, List[CanonicalFact]],
+        entities: Dict[str, List[str]],
+        used_entities: set,
+    ) -> Iterator[Triple]:
+        """The facts of one KB, in generation order."""
         for mapping in kb_spec.mappings:
             relation_iri = kb_spec.namespace.term(mapping.name)
             if mapping.is_noise:
-                self._add_noise_facts(
-                    pending, kb_spec, mapping, relation_iri, entities, used_entities
+                yield from self._noise_facts(
+                    kb_spec, mapping, relation_iri, entities, used_entities
                 )
                 continue
 
@@ -292,23 +304,19 @@ class WorldGenerator:
                 else:
                     obj_term = self._entity_iri(kb_spec, str(obj))
                     used_entities.add(str(obj))
-                pending.append(Triple(subject_iri, relation_iri, obj_term))
+                yield Triple(subject_iri, relation_iri, obj_term)
                 if kb_spec.add_inverse_relations and not is_literal:
                     inverse_iri = kb_spec.namespace.term(f"inverseOf_{mapping.name}")
-                    pending.append(Triple(obj_term, inverse_iri, subject_iri))  # type: ignore[arg-type]
+                    yield Triple(obj_term, inverse_iri, subject_iri)  # type: ignore[arg-type]
 
-        kb.add_triples(pending)
-        return kb, used_entities
-
-    def _add_noise_facts(
+    def _noise_facts(
         self,
-        pending: List[Triple],
         kb_spec: KBSpec,
         mapping: RelationMapping,
         relation_iri: IRI,
         entities: Dict[str, List[str]],
         used_entities: set,
-    ) -> None:
+    ) -> Iterator[Triple]:
         subject_type = mapping.noise_subject_type or self.spec.entity_types[0].name
         object_type = mapping.noise_object_type or self.spec.entity_types[-1].name
         subjects = entities[subject_type]
@@ -325,7 +333,7 @@ class WorldGenerator:
                 object_id = self._rng.choice(objects)
                 obj_term = self._entity_iri(kb_spec, object_id)
                 used_entities.add(object_id)
-            pending.append(Triple(subject_iri, relation_iri, obj_term))
+            yield Triple(subject_iri, relation_iri, obj_term)
 
     # ------------------------------------------------------------------ #
     # Rendering helpers

@@ -254,7 +254,7 @@ def generate_scale_world(
     Terms are interned once, the three ID columns are drawn in
     :data:`CHUNK_ROWS` chunks, and the store is assembled by the
     columnar bulk loader — no per-fact ``Triple`` objects exist at any
-    point, so the loaded store starts frozen and lazy.
+    point, so the loaded store starts frozen.
 
     Parameters
     ----------

@@ -55,8 +55,8 @@ EX = Namespace("http://diffpersist.test/")
 SHARD_COUNTS = (1, 2, 8)
 
 # Deliberately tiny vocabulary so random BGPs actually join (mirrors
-# test_shard_property.py), plus literals so the lazy dictionary's decode
-# path sees every term kind.
+# test_shard_property.py), plus literals so decoding the reopened
+# dictionary's snapshot records sees every term kind.
 _iris = st.sampled_from([EX[f"n{index}"] for index in range(6)])
 _literals = st.sampled_from(
     [Literal("v0"), Literal("v1", language="en"), Literal(7)]

@@ -100,12 +100,14 @@ def test_battery_matches_warm_reference(representation, evaluators, world_kb):
 
 
 def test_cold_stores_stay_frozen_after_the_battery(evaluators):
-    # The whole battery is read-only: no representation may have been
-    # silently promoted to the writable form.
+    # The whole battery is read-only: no representation may have taken
+    # overlay entries or interned a term.
     assert evaluators["cold-mmap"].store.is_frozen
     assert evaluators["cold-bytes"].store.is_frozen
     for shard in evaluators["cold-sharded4"].store.shards:
         assert shard.is_frozen
+    for name in ("cold-mmap", "cold-bytes", "cold-sharded4"):
+        assert evaluators[name].store.dictionary.interned == 0
 
 
 def test_relation_catalogue_matches_on_cold_kb(world_kb, tmp_path):

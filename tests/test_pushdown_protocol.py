@@ -275,7 +275,7 @@ class TestFlowControl:
             next(stream)
             stream.close()
             start = time.monotonic()
-            assert executor.ping(0)["promoted"] is False
+            assert executor.ping(0)["interned"] == 0
             assert time.monotonic() - start < 5.0
             stats = executor.protocol_stats()
             assert stats["cancelled"] == 1

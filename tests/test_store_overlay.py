@@ -11,7 +11,7 @@ sizes involved — and then demand that every index read and every ID- and
 Term-level store read equals, value for value and in the same order, the
 read of a store built fresh from the final triple set.  They also pin
 that reads never fold, and that single writes on a cold store neither
-fold nor materialise the Triple maps.
+fold nor decode the dictionary's snapshot records.
 """
 
 import tempfile
@@ -28,6 +28,7 @@ from repro.rdf.namespace import Namespace
 from repro.rdf.terms import Literal
 from repro.rdf.triple import Triple
 from repro.shard.sharded_store import ShardedTripleStore
+from repro.store import dictionary as dictionary_module
 from repro.store import triplestore
 from repro.store.index import PermutationIndex
 from repro.store.triplestore import TripleStore
@@ -160,8 +161,7 @@ def _id_reads(store, ids):
 def _term_reads(store):
     """Term-level store reads over the whole term universe."""
     reads = {
-        # Warm stores iterate in insertion order: compare the set.
-        "iter": sorted(map(repr, store)),
+        "iter": list(store),
         "contains": [triple in store for triple in UNIVERSE],
         "predicates": store.predicates(),
         "entities": store.entities(),
@@ -349,8 +349,24 @@ class TestFolding:
             assert fresh in store and UNIVERSE[0] not in store
         assert folds == []
         assert not store.is_frozen
-        assert store._lazy_triples and not store._triples and not store._triple_ids
+        assert store.dictionary.interned == 1
         assert store.data_version == 2
+
+    def test_one_add_on_a_cold_store_decodes_no_snapshot_record(self, tmp_path):
+        path = tmp_path / "cold.snap"
+        TripleStore(triples=_initial()).save(path)
+        store = TripleStore.open(path)
+        with mock.patch.object(
+            dictionary_module,
+            "decode_term_record",
+            wraps=dictionary_module.decode_term_record,
+        ) as decoded:
+            # Probes compare raw record bytes; the two known terms resolve
+            # to their snapshot IDs, the unseen one is appended.
+            assert store.add(Triple(EX.brand_new, EX.p0, EX.o0))
+        assert decoded.call_count == 0
+        assert store.dictionary.interned == 1
+        assert store.term_id(EX.p0) == TripleStore(triples=_initial()).term_id(EX.p0)
 
     def test_overlay_folds_past_the_limit_and_on_save(self, tmp_path):
         store = TripleStore(triples=_initial())

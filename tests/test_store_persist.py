@@ -1,4 +1,4 @@
-"""Snapshot persistence: round-trip, corruption, laziness and promotion.
+"""Snapshot persistence: round-trip, corruption, laziness and mutation.
 
 The contract under test (see :mod:`repro.store.persist`):
 
@@ -27,7 +27,6 @@ from repro.rdf.triple import Triple
 from repro.shard.sharded_store import ShardedTripleStore
 from repro.store import persist
 from repro.store.dictionary import (
-    LazyTermDictionary,
     TermDictionary,
     decode_term_record,
     encode_term_record,
@@ -125,14 +124,15 @@ class TestByteIdenticalRoundTrip:
         reopened.save(second)
         assert snapshot_path.read_bytes() == second.read_bytes()
 
-    def test_resave_after_promotion_is_still_identical(
+    def test_resave_after_decoding_everything_is_still_identical(
         self, tmp_path, snapshot_path
     ):
-        # Promote the dictionary and the Triple maps without changing the
-        # triple set: the rebuilt sections must reproduce the raw ones.
+        # Resolve every term and triple without changing the triple set:
+        # the written sections must still be the raw ones.
         reopened = TripleStore.open(snapshot_path)
-        _ = reopened.dictionary.ids_map  # forces dictionary promotion
-        _ = reopened.id_triples  # forces Triple-map materialisation
+        for term in list(reopened.dictionary.terms()):
+            assert reopened.dictionary.id_for(term) is not None
+        assert len(list(reopened)) == len(reopened)
         second = tmp_path / "second.snap"
         reopened.save(second)
         assert snapshot_path.read_bytes() == second.read_bytes()
@@ -313,7 +313,7 @@ class TestCorruption:
 
 
 # --------------------------------------------------------------------- #
-# Laziness, equivalence and promotion
+# Laziness, equivalence and mutation
 # --------------------------------------------------------------------- #
 class TestColdStoreSemantics:
     def test_reads_stay_lazy(self, snapshot_path, warm_store):
@@ -328,7 +328,7 @@ class TestColdStoreSemantics:
         )
         # Membership, counts and term lookups must not write anything.
         assert cold.is_frozen
-        assert not cold.dictionary.is_promoted
+        assert cold.dictionary.interned == 0
 
     def test_bookkeeping_equivalence(self, snapshot_path, warm_store):
         cold = TripleStore.open(snapshot_path)
@@ -405,7 +405,7 @@ class TestColdStoreSemantics:
         for key, count in counts.items():
             assert store._pos.count_for_key(key) == count
 
-    def test_mutation_promotes_and_stays_correct(self, snapshot_path, warm_store):
+    def test_mutation_stays_correct(self, snapshot_path, warm_store):
         cold = TripleStore.open(snapshot_path)
         fresh = Triple(EX.fresh_subject, EX.p0, Literal("fresh"))
         assert cold.add(fresh)
@@ -417,13 +417,13 @@ class TestColdStoreSemantics:
         assert cold.remove(victim)
         assert victim not in cold
         assert len(cold) == len(warm_store)
-        # Unknown-term interning went through the lazy dictionary's
-        # promotion; known terms kept their snapshot IDs.
-        assert cold.dictionary.is_promoted
+        # The two unknown terms got fresh IDs past the snapshot's; known
+        # terms kept their snapshot IDs.
+        assert cold.dictionary.interned == 2
         for term in list(warm_store.dictionary.terms()):
             assert cold.term_id(term) == warm_store.term_id(term)
 
-    def test_bulk_load_promotes(self, snapshot_path):
+    def test_bulk_load_on_cold_store(self, snapshot_path):
         cold = TripleStore.open(snapshot_path)
         before = len(cold)
         inserted = cold.bulk_load(
@@ -534,9 +534,9 @@ class TestColdStoreSemantics:
     def test_lazy_dictionary_decode_and_lookup(self, snapshot_path, warm_store):
         cold = TripleStore.open(snapshot_path)
         dictionary = cold.dictionary
-        assert isinstance(dictionary, LazyTermDictionary)
+        assert isinstance(dictionary, TermDictionary)
         assert len(dictionary) == len(warm_store.dictionary)
-        # Unknown probes answer None without promotion.
+        # Unknown probes answer None without interning.
         assert dictionary.id_for(EX.never_seen) is None
         assert EX.never_seen not in dictionary
         some = list(warm_store.dictionary.terms())[:10]
@@ -545,7 +545,7 @@ class TestColdStoreSemantics:
             assert tid == warm_store.dictionary.id_for(term)
             assert dictionary.decode(tid) == term
             assert dictionary.kind(tid) == warm_store.dictionary.kind(tid)
-        assert not dictionary.is_promoted
+        assert dictionary.interned == 0
         with pytest.raises(StoreError):
             dictionary.decode(len(dictionary) + 5)
         # Non-Term probes answer None, exactly like the warm dict.get.
@@ -571,7 +571,7 @@ class TestShardedColdStore:
         assert cold.shard_sizes() == sharded.shard_sizes()
         assert set(cold) == set(sharded)
         assert len(cold.dictionary) == len(sharded.dictionary)
-        # All shards share the one lazy dictionary instance.
+        # All shards share the one dictionary instance.
         assert all(shard.dictionary is cold.dictionary for shard in cold.shards)
 
     def test_mutation_after_reopen(self, tmp_path, warm_store):
@@ -602,8 +602,8 @@ class TestShardedColdStore:
         sharded.save(directory)
         cold = ShardedTripleStore.open(directory)
         # One new-subject triple routes to the last shard: only that
-        # shard may pay materialisation/promotion; the others must stay
-        # frozen snapshot views.
+        # shard may gain overlay entries; the others must stay frozen
+        # snapshot views.
         inserted = cold.bulk_load([Triple(EX.very_late, EX.p0, EX.o0)])
         assert inserted == 1
         assert not cold.shards[-1].is_frozen

@@ -94,12 +94,11 @@ class TestGeneration:
         second = generate_scale_world(SPEC)
         assert set(first.store.match_ids()) == set(second.store.match_ids())
 
-    def test_store_is_frozen_and_lazy(self):
+    def test_store_is_frozen(self):
         world = generate_scale_world(SPEC)
-        # The streaming path must never materialise per-fact Triple
-        # objects: the store arrives frozen with lazy triple views.
+        # The streaming path builds the CSR bases straight from the ID
+        # columns: the store arrives with empty overlays.
         assert world.store.is_frozen
-        assert world.store._lazy_triples
         assert world.triples > SPEC.triples * 0.99
 
     def test_numpy_and_pure_python_columns_identical(self):

@@ -188,7 +188,7 @@ class TestExecutorCrash:
                 time.sleep(0.05)
             # The healthy worker (shard 1 lives in a separate file) is
             # untouched by shard 0's abandonment.
-            assert executor.ping(1)["promoted"] is False
+            assert executor.ping(1)["interned"] == 0
 
 
 class TestProtocolAccounting:

@@ -11,11 +11,12 @@ These property tests pin that contract:
   again yields the same ID;
 * result multisets of worker evaluation equal in-process evaluation
   *as raw ID bindings* (not merely as decoded terms);
-* workers never promote their lazy dictionary and never write to a
-  shard index (every shard stays frozen) — the read path alone must
-  suffice;
-* a cold parent (reopened from the same snapshot) stays lazy too: a
-  full process-backend query round-trip promotes nothing on either side.
+* workers' dictionaries never assign an ID of their own and no worker
+  writes to a shard index (every shard stays frozen) — the read path
+  alone must suffice;
+* a cold parent (reopened from the same snapshot) interns nothing
+  either: a full process-backend query round-trip assigns no ID on
+  either side.
 """
 
 import multiprocessing
@@ -119,12 +120,12 @@ class TestNoReintern:
             # The workload above crossed the process boundary as IDs
             # only: no worker interned anything, no shard index was written.
             for info in executor.ping_all():
-                assert info["promoted"] is False
+                assert info["interned"] == 0
                 assert all(info["frozen"].values())
 
     @given(_triples)
     @settings(max_examples=8, deadline=None)
-    def test_cold_parent_round_trip_promotes_nothing(self, triples):
+    def test_cold_parent_round_trip_interns_nothing(self, triples):
         store = ShardedTripleStore(num_shards=2, triples=triples)
         directory = Path(tempfile.mkdtemp(prefix="nointern-cold-")) / "snap"
         store.save(directory)
@@ -137,12 +138,12 @@ class TestNoReintern:
                 "SELECT ?s ?p ?o WHERE { ?s ?p ?o . "
                 "?s <http://nointern.test/n0> ?x }"
             )
-            # Results decode through the parent's lazy dictionary
-            # without promoting it; workers stayed lazy as well.
-            assert not cold.dictionary.is_promoted
+            # Results decode through the parent's dictionary without
+            # interning anything; the workers interned nothing either.
+            assert cold.dictionary.interned == 0
             for shard in cold.shards:
                 assert shard.is_frozen
             for info in executor.ping_all():
-                assert info["promoted"] is False
+                assert info["interned"] == 0
                 assert all(info["frozen"].values())
             assert result is not None

@@ -217,7 +217,7 @@ class TestPoolAndDiagnostics:
         assert info["worker"] == executor.worker_for_shard(2)
         assert 2 in info["shards"]
         assert info["triples"][2] == len(store.shards[2])
-        assert info["promoted"] is False
+        assert info["interned"] == 0
         assert all(info["frozen"].values())
 
     def test_worker_pids_one_process_per_worker(self, served):
@@ -397,4 +397,4 @@ class TestStartMethodMatrix:
                 ShardedQueryEvaluator(store).evaluate(QUERY_BATTERY[0])
             )
             assert _multiset(proc_eval.evaluate(QUERY_BATTERY[0])) == expected
-            assert executor.ping(0)["promoted"] is False
+            assert executor.ping(0)["interned"] == 0
