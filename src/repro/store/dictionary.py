@@ -47,6 +47,11 @@ _LIT_DATATYPE = 2
 
 _U32 = Struct("<I")
 
+#: Most absent terms the miss memo holds before it is dropped and rebuilt —
+#: bounds the memory of long-lived cold stores probed with ever-new
+#: constants.
+_MISS_LIMIT = 65536
+
 
 def encode_term_record(term: Term) -> bytes:
     """Encode one term as a self-delimiting snapshot heap record.
@@ -169,6 +174,7 @@ class TermDictionary:
         "_offsets",
         "_lookup",
         "_loaded",
+        "_misses",
         "__weakref__",
     )
 
@@ -188,6 +194,11 @@ class TermDictionary:
         self._kinds = bytearray(kinds)
         self._terms: List[Optional[Term]] = [None] * count
         self._ids = _InternMap(self)
+        # Terms the base search found absent: the evaluator resolves the
+        # same query constants once per pattern probe.  It is consulted
+        # only after the map misses, and every term appended to the ID
+        # space enters the map, so a remembered miss never hides a term.
+        self._misses: set = set()
         # IDs read from snapshot sections (the base and delta records);
         # every ID past them was assigned by interning.
         self._loaded = count
@@ -217,8 +228,12 @@ class TermDictionary:
     def id_for(self, term: Term) -> Optional[int]:
         """The ID of ``term`` without interning; ``None`` if unknown."""
         tid = self._ids.get(term)
-        if tid is None:
+        if tid is None and term not in self._misses:
             tid = self._find(term)
+            if tid is None and len(self._lookup):
+                if len(self._misses) >= _MISS_LIMIT:
+                    self._misses.clear()  # a memo: dropping it costs re-probes only
+                self._misses.add(term)
         return tid
 
     @property

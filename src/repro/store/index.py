@@ -8,7 +8,9 @@ sorted thirds``.  It has two parts:
   class) viewed as ``memoryview`` windows over numpy arrays, ``bytes`` or
   an mmap'd snapshot.  Every lookup is a bisect, so the base needs no
   Python container proportional to its size, and a snapshot writes the
-  columns verbatim;
+  columns verbatim.  Only :meth:`~PermutationIndex.contains` adds a
+  derived column: a direct-address table of key positions, built on its
+  first call, one int32 per term ID up to the largest key;
 * a small **overlay** of per-key added and removed ``(second, third)``
   entries, kept net against the base (an added entry is never in the
   base, a removed one always is).
@@ -101,6 +103,16 @@ def _column(values=()) -> memoryview:
     return memoryview(array("q", values).tobytes()).cast("q")
 
 
+def _slot_table(keys) -> memoryview:
+    """A direct-address table over a keys column: ``table[key]`` is the
+    key's position in the column, or ``-1`` (keys are dense term IDs, so
+    the table is as long as the largest key)."""
+    keys = _int64(keys)
+    table = np.full(int(keys[-1]) + 1 if keys.size else 0, -1, dtype=np.int32)
+    table[keys] = np.arange(keys.size, dtype=np.int32)
+    return memoryview(table)
+
+
 #: ``key_columns`` of an absent key.
 _EMPTY_RUN = (_column(), _column([0]), _column())
 
@@ -150,6 +162,7 @@ class PermutationIndex:
         "_pending",
         "_size",
         "_key_count",
+        "_key_slots",
     )
 
     def __init__(self, *columns: memoryview):
@@ -165,6 +178,7 @@ class PermutationIndex:
         self._pending = 0
         self._size = len(thirds)
         self._key_count = len(keys)
+        self._key_slots: Optional[memoryview] = None
 
     def __len__(self) -> int:
         return self._size
@@ -358,15 +372,40 @@ class PermutationIndex:
         return ()
 
     def contains(self, key: int, second: int, third: int) -> bool:
-        """Membership test for a fully specified entry."""
+        """Membership test for a fully specified entry.
+
+        The store's ``in`` and ``contains_ids`` run here, so the base
+        lookup stays in this one frame: the key's position from the slot
+        table, then a bisect over its seconds and one over the group's
+        thirds (a one-entry group is compared directly).  An overlay that
+        touches ``key`` then overrides the answer.
+        """
+        found = False
+        slots = self._key_slots
+        if slots is None:
+            slots = self._key_slots = _slot_table(self._keys)
+        slot = slots[key] if key < len(slots) else -1
+        if slot >= 0:
+            key_groups = self._key_groups
+            seconds = self._seconds
+            end = key_groups[slot + 1]
+            group = bisect_left(seconds, second, key_groups[slot], end)
+            if group < end and seconds[group] == second:
+                group_starts = self._group_starts
+                thirds = self._thirds
+                start = group_starts[group]
+                end = group_starts[group + 1]
+                if end - start == 1:  # most groups: no bisect call
+                    found = thirds[start] == third
+                else:
+                    slot = bisect_left(thirds, third, start, end)
+                    found = slot < end and thirds[slot] == third
         delta = self._delta.get(key) if self._delta else None
-        if delta is not None:
-            entry = (second, third)
-            if entry in delta.added:
-                return True
-            if entry in delta.removed:
-                return False
-        return self._base_position(key, second, third) >= 0
+        if delta is None:
+            return found
+        if found:
+            return not delta.removed or (second, third) not in delta.removed
+        return (second, third) in delta.added
 
     def keys(self) -> Iterator[int]:
         """Iterate over all distinct keys (ascending)."""

@@ -142,6 +142,7 @@ class TripleStore:
     ):
         self.name = name
         self._dictionary = dictionary if dictionary is not None else TermDictionary()
+        self._resolved_id = self._dictionary.ids_map.get
         self._spo = PermutationIndex()
         self._pos = PermutationIndex()
         self._osp = PermutationIndex()
@@ -719,7 +720,18 @@ class TripleStore:
         return s, p, o
 
     def __contains__(self, triple: object) -> bool:
-        return self._stored_ids(triple) is not None
+        # The common case of _stored_ids inlined: terms the dictionary has
+        # already resolved are one C-level map lookup each, and only a
+        # miss pays for the snapshot-base search.
+        if not isinstance(triple, Triple):
+            return False
+        get = self._resolved_id
+        s = get(triple.subject)
+        p = get(triple.predicate)
+        o = get(triple.object)
+        if s is None or p is None or o is None:
+            return self._stored_ids(triple) is not None
+        return self._spo.contains(s, p, o)
 
     def __iter__(self) -> Iterator[Triple]:
         """Every triple, in ascending SPO ID order."""

@@ -5,7 +5,13 @@ import pytest
 from repro.errors import StoreError
 from repro.rdf.terms import BlankNode, IRI, Literal
 from repro.rdf.triple import Triple
-from repro.store.dictionary import KIND_BLANK, KIND_IRI, KIND_LITERAL, TermDictionary
+from repro.store.dictionary import (
+    KIND_BLANK,
+    KIND_IRI,
+    KIND_LITERAL,
+    TermDictionary,
+    encode_term_record,
+)
 from repro.store.triplestore import TripleStore
 
 from tests.conftest import EX
@@ -61,6 +67,31 @@ class TestInterning:
         dictionary.encode(EX.b)
         dictionary.encode(EX.a)
         assert list(dictionary.terms()) == [EX.b, EX.a]
+
+
+class TestSnapshotBase:
+    @staticmethod
+    def _cold():
+        warm = TermDictionary()
+        for name in ("a", "b", "c"):
+            warm.encode(EX[name])
+        return TermDictionary(*warm.snapshot_columns())
+
+    def test_a_remembered_miss_does_not_hide_a_term_interned_later(self):
+        cold = self._cold()
+        assert cold.id_for(EX.b) == 1
+        assert cold.id_for(EX.new) is None
+        assert cold.id_for(EX.new) is None
+        assert cold.encode(EX.new) == 3
+        assert cold.id_for(EX.new) == 3
+
+    def test_a_remembered_miss_does_not_hide_a_term_a_delta_appends(self):
+        cold = self._cold()
+        assert cold.id_for(EX.new) is None
+        record = encode_term_record(EX.new)
+        cold.extend_tail(record, [0, len(record)], bytes([KIND_IRI]))
+        assert cold.id_for(EX.new) == 3
+        assert cold.interned == 0
 
 
 class TestKinds:

@@ -143,6 +143,31 @@ class TestPermutationIndex:
         assert [second for second, _ in index.items_for_key(A)] == [C, D]
         assert list(index.triples()) == list(frozen.triples()) == sorted(index.triples())
 
+    def test_contains_agrees_with_a_set_over_base_and_overlay(self):
+        # Sparse keys (absent IDs inside and past the key range), groups of
+        # one and of several thirds, and overlay adds and removes on keys
+        # the base has and keys it lacks.
+        rng = np.random.default_rng(7)
+        rows = {tuple(int(v) for v in row) for row in rng.integers(0, 9, (60, 3)) * [2, 1, 1]}
+        writable = PermutationIndex()
+        for row in rows:
+            writable.add(*row)
+        index = _frozen(writable)
+        expected = set(rows)
+        for row in sorted(rows)[::6] + list(map(tuple, rng.integers(0, 20, (40, 3)).tolist())):
+            if row in expected:
+                assert index.remove(*row)
+                expected.discard(row)
+            else:
+                assert index.add(*row)
+                expected.add(row)
+        assert index.pending
+        for key in range(22):
+            for second in range(20):
+                for third in range(20):
+                    entry = (key, second, third)
+                    assert index.contains(*entry) == (entry in expected), entry
+
 
 def _dictionary():
     from repro.rdf.namespace import Namespace
