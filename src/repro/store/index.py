@@ -10,7 +10,9 @@ sorted thirds``.  It has two parts:
   Python container proportional to its size, and a snapshot writes the
   columns verbatim.  Only :meth:`~PermutationIndex.contains` adds a
   derived column: a direct-address table of key positions, built on its
-  first call, one int32 per term ID up to the largest key;
+  first call, one int32 per term ID up to the largest key.  Every other
+  lookup bisects, so the indexes that membership never probes (POS and
+  OSP) never pay for a table;
 * a small **overlay** of per-key added and removed ``(second, third)``
   entries, kept net against the base (an added entry is never in the
   base, a removed one always is).
