@@ -72,6 +72,23 @@ _Y1 = Variable("y1")
 _Y2 = Variable("y2")
 
 
+def _complete(result: ResultSet, *variables: Variable) -> List[tuple]:
+    """The rows of ``variables``' columns, zipped by position, that bind
+    every one of them (terms are always truthy, unbound cells ``None``)."""
+    return list(filter(all, zip(*map(result.column, variables))))
+
+
+def _facts(result: ResultSet) -> List[Tuple[Term, IRI, Term]]:
+    """The ``(?s, ?p, ?o)`` rows of ``result`` whose predicate is an IRI."""
+    return [
+        (subject, predicate, obj)
+        for subject, predicate, obj in zip(
+            result.column(_S), result.column(_P), result.column(_O)
+        )
+        if subject is not None and isinstance(predicate, IRI) and obj is not None
+    ]
+
+
 def _paging_clause(limit: Optional[int], offset: int) -> str:
     """Render LIMIT/OFFSET in the SPARQL grammar's canonical order.
 
@@ -133,14 +150,7 @@ class EndpointClient:
         """``(subject, object)`` pairs of ``relation`` with LIMIT/OFFSET paging."""
         query = f"SELECT ?s ?o WHERE {{ ?s {_nt(relation)} ?o }}"
         query += _paging_clause(limit, offset)
-        result = self.endpoint.select(query)
-        pairs: List[Tuple[Term, Term]] = []
-        for row in result:
-            subject = row.get_term(_S)
-            obj = row.get_term(_O)
-            if subject is not None and obj is not None:
-                pairs.append((subject, obj))
-        return pairs
+        return _complete(self.endpoint.select(query), _S, _O)
 
     def subjects(
         self, relation: IRI, limit: Optional[int] = None, offset: int = 0
@@ -190,15 +200,7 @@ class EndpointClient:
             return []
         values = _nt_value_pairs(pairs)
         query = f"SELECT ?s ?p ?o WHERE {{ VALUES (?s ?o) {{ {values} }} ?s ?p ?o }}"
-        result = self.endpoint.select(query)
-        matches: List[Tuple[Term, IRI, Term]] = []
-        for row in result:
-            subject = row.get_term(_S)
-            predicate = row.get_term(_P)
-            obj = row.get_term(_O)
-            if subject is not None and isinstance(predicate, IRI) and obj is not None:
-                matches.append((subject, predicate, obj))
-        return matches
+        return _facts(self.endpoint.select(query))
 
     def describe_subjects(
         self, subjects: Sequence[Term]
@@ -213,15 +215,7 @@ class EndpointClient:
             return []
         values = _nt_values(subjects)
         query = f"SELECT ?s ?p ?o WHERE {{ VALUES ?s {{ {values} }} ?s ?p ?o }}"
-        result = self.endpoint.select(query)
-        facts: List[Tuple[Term, IRI, Term]] = []
-        for row in result:
-            subject = row.get_term(_S)
-            predicate = row.get_term(_P)
-            obj = row.get_term(_O)
-            if subject is not None and isinstance(predicate, IRI) and obj is not None:
-                facts.append((subject, predicate, obj))
-        return facts
+        return _facts(self.endpoint.select(query))
 
     def disagreement_samples(
         self,
@@ -243,15 +237,7 @@ class EndpointClient:
             f"FILTER NOT EXISTS {{ ?x {_nt(primary)} ?y2 }} }}"
         )
         query += _paging_clause(limit, offset)
-        result = self.endpoint.select(query)
-        samples: List[Tuple[Term, Term, Term]] = []
-        for row in result:
-            x = row.get_term(_X)
-            y1 = row.get_term(_Y1)
-            y2 = row.get_term(_Y2)
-            if x is not None and y1 is not None and y2 is not None:
-                samples.append((x, y1, y2))
-        return samples
+        return _complete(self.endpoint.select(query), _X, _Y1, _Y2)
 
     def facts_of_subjects(
         self, subjects: Sequence[Term], relation: IRI
@@ -268,14 +254,7 @@ class EndpointClient:
         query = (
             f"SELECT ?s ?o WHERE {{ VALUES ?s {{ {values} }} ?s {_nt(relation)} ?o }}"
         )
-        result = self.endpoint.select(query)
-        pairs: List[Tuple[Term, Term]] = []
-        for row in result:
-            subject = row.get_term(_S)
-            obj = row.get_term(_O)
-            if subject is not None and obj is not None:
-                pairs.append((subject, obj))
-        return pairs
+        return _complete(self.endpoint.select(query), _S, _O)
 
     # ------------------------------------------------------------------ #
     # sameAs queries
@@ -299,14 +278,7 @@ class EndpointClient:
             f"SELECT ?s ?x WHERE {{ VALUES ?s {{ {values} }} "
             f"{{ ?s {_SAME_AS_NT} ?x }} UNION {{ ?x {_SAME_AS_NT} ?s }} }}"
         )
-        result = self.endpoint.select(query)
-        pairs: List[Tuple[Term, Term]] = []
-        for row in result:
-            subject = row.get_term(_S)
-            other = row.get_term(_X)
-            if subject is not None and other is not None:
-                pairs.append((subject, other))
-        return pairs
+        return _complete(self.endpoint.select(query), _S, _X)
 
     # ------------------------------------------------------------------ #
     # Sampling support

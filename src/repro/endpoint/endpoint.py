@@ -260,8 +260,7 @@ class SparqlEndpoint:
                         raise ResultTruncated(
                             f"Endpoint {self.name!r}: result of {row_count} rows exceeds cap {cap}"
                         )
-                    result.rows = result.rows[:cap]
-                    result.truncated = True
+                    result.truncate(cap)
                     truncated = True
                     row_count = cap
         except BaseException as error:

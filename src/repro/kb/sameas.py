@@ -46,7 +46,7 @@ class SameAsIndex:
         self._link_count += 1
         root_left = self._find(left)
         root_right = self._find(right)
-        if root_left == root_right:
+        if root_left is root_right:
             return
         # Union by rank.
         if self._rank[root_left] < self._rank[root_right]:
@@ -57,17 +57,30 @@ class SameAsIndex:
         self._members[root_left].update(self._members.pop(root_right))
 
     def _find(self, entity: Term) -> Term:
-        if entity not in self._parent:
+        """The root of ``entity``'s class, adding ``entity`` if it is new."""
+        node = self._parent.get(entity)
+        if node is None:
             self._parent[entity] = entity
             self._rank[entity] = 0
             self._members[entity] = {entity}
             return entity
-        # Path compression.
-        root = entity
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[entity] != root:
-            self._parent[entity], entity = root, self._parent[entity]
+        return self._root(node)
+
+    def _root(self, node: Term) -> Term:
+        """The root above ``node``, a parent value, with path compression.
+
+        Every parent value is the very key object of its target, and a
+        root's parent is itself.  Starting from such a value, each lookup
+        hits its key by identity and each step compares by identity, so
+        the walk never runs ``Term.__eq__``.  The caller's own term is
+        looked up once, by whoever fetched ``node``.
+        """
+        parent = self._parent
+        root = node
+        while parent[root] is not root:
+            root = parent[root]
+        while node is not root:
+            parent[node], node = root, parent[node]
         return root
 
     # ------------------------------------------------------------------ #
@@ -93,15 +106,18 @@ class SameAsIndex:
         """
         if left == right:
             return True
-        if left not in self._parent or right not in self._parent:
+        left_node = self._parent.get(left)
+        right_node = self._parent.get(right)
+        if left_node is None or right_node is None:
             return False
-        return self._find(left) == self._find(right)
+        return self._root(left_node) is self._root(right_node)
 
     def equivalence_class(self, entity: Term) -> Set[Term]:
         """All entities equivalent to ``entity`` (including itself)."""
-        if entity not in self._parent:
+        node = self._parent.get(entity)
+        if node is None:
             return {entity}
-        return set(self._members[self._find(entity)])
+        return set(self._members[self._root(node)])
 
     def equivalents(self, entity: Term) -> Set[Term]:
         """All entities equivalent to ``entity`` (excluding itself)."""
@@ -118,11 +134,20 @@ class SameAsIndex:
         """
         if isinstance(entity, IRI) and entity in namespace:
             return entity
-        candidates = sorted(
-            (e for e in self.equivalents(entity) if isinstance(e, IRI) and e in namespace),
-            key=lambda e: e.value,
-        )
-        return candidates[0] if candidates else None
+        node = self._parent.get(entity)
+        if node is None:
+            return None
+        # ``entity`` itself is outside ``namespace``, so walking the whole
+        # class in place skips it without copying the member set; the
+        # prefix test is ``Namespace.__contains__`` without a call per member.
+        base = namespace.base
+        best: Optional[IRI] = None
+        for member in self._members[self._root(node)]:
+            if isinstance(member, IRI):
+                value = member.value
+                if value.startswith(base) and (best is None or value < best.value):
+                    best = member
+        return best
 
     def classes(self) -> Iterator[Set[Term]]:
         """Iterate over all equivalence classes with at least two members."""

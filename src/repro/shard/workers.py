@@ -39,10 +39,10 @@ queue):
   window comes from the ``REPRO_RESULT_WINDOW`` environment variable.
 * worker → parent: ``(task_id, "rows", batch)`` (a batch is a list of
   serialized bindings: tuples of ``(variable_name, id_or_term)`` pairs),
-  ``(task_id, "page", names, rows)`` (a page slice: ID tuples aligned
-  with the variable ``names``; it costs no credit and counts as one row
-  batch in the ledger), ``(task_id, "agg", partial)`` (one fold partial,
-  not terminal),
+  ``(task_id, "page", names, columns, size)`` (a page slice: one list
+  of IDs per variable of ``names``, ``size`` rows; it costs no credit
+  and counts as one row batch in the ledger), ``(task_id, "agg",
+  partial)`` (one fold partial, not terminal),
   ``(task_id, "done", row_count, cancelled, trace)``, ``(task_id,
   "error", type_name, message, traceback, trace)``, ``(task_id, "pong",
   info)``.
@@ -397,13 +397,13 @@ def shard_worker_main(
                 # Page pushdown: ``work`` is the SELECT query and ``page``
                 # this shard's (offset, limit) slice of it, answered in
                 # one message — in ID columns when the kernels run.
-                bound, rows = evaluator._page_ids(work, *page)
+                bound, columns, size = evaluator._page_ids(work, *page)
                 result_queue.put(
-                    (task_id, "page", tuple(v.name for v in bound), rows)
+                    (task_id, "page", tuple(v.name for v in bound), columns, size)
                 )
                 result_queue.put(
-                    (task_id, "done", len(rows), False,
-                     span_payload(mode="page", rows=len(rows)))
+                    (task_id, "done", size, False,
+                     span_payload(mode="page", rows=size))
                 )
                 continue
             memo: Dict[str, Variable] = {}
@@ -842,7 +842,9 @@ class ProcessShardExecutor:
                     self._stats["dropped_batches"] += 1
                     return
                 self._stats["row_batches"] += 1
-                self._stats["rows"] += len(message[-1])
+                # A rows batch ends with its rows, a page with its size.
+                rows = message[-1]
+                self._stats["rows"] += rows if kind == "page" else len(rows)
             if kind == "rows":
                 # Only credit-controlled batches count as buffered: a page
                 # is one message per task, bounded by its LIMIT.
@@ -1146,15 +1148,16 @@ class ProcessShardExecutor:
         pages: Sequence[Tuple[int, int, int]],
         query,
         trace_parent=None,
-    ) -> List[Tuple[List[Variable], List[tuple]]]:
+    ) -> List[Tuple[List[Variable], List[list], int]]:
         """Fetch one SELECT page from the shards that hold it.
 
         ``pages`` lists ``(shard, offset, limit)`` slices; each routed
         worker answers its slice with
         :meth:`~repro.sparql.evaluate.QueryEvaluator._page_ids` in one
         ``page`` message, so exactly the page's rows cross the process
-        boundary.  Returns one ``(bound variables, ID rows)`` pair per
-        slice, in ``pages`` order.
+        boundary.  Returns one ``(bound variables, ID columns, row
+        count)`` triple per slice — the shape of ``_page_ids`` — in
+        ``pages`` order.
         """
         traced = trace_parent is not None or recorder().active
         streams = self._dispatch_eval(
@@ -1166,7 +1169,7 @@ class ProcessShardExecutor:
         parts = []
         try:
             for _, item in self._replies(streams, span):
-                parts.append(([Variable(name) for name in item[1]], item[2]))
+                parts.append(([Variable(name) for name in item[1]], item[2], item[3]))
         finally:
             self._settle(streams, span)
         return parts

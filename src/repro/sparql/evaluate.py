@@ -25,7 +25,7 @@ query the aligner sends: paged samples, VALUES lookups and UBS
 disagreement samples.  The VALUES rows seed the kernels, the FILTERs
 become block masks, and :func:`repro.sparql.kernels.finish` projects,
 deduplicates (DISTINCT) and pages (OFFSET/LIMIT) the ID columns; only the
-surviving rows are decoded into :class:`Binding` objects.  Anything else
+surviving page is decoded, one dictionary call per column.  Anything else
 — ORDER BY, aggregates, other FILTERs, OPTIONAL / UNION / subgroups,
 expression projections, a plan step the kernels cannot run, or an
 evaluator built with ``use_vectorized=False`` — takes the per-row chain:
@@ -93,6 +93,7 @@ from repro.sparql.ast import (
 )
 from repro.sparql import kernels
 from repro.sparql.bindings import Binding, IdBinding, Variable
+from repro.sparql.fold import group_rows
 from repro.sparql.functions import EvalError, ExpressionEvaluator, value_to_term
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import (
@@ -218,8 +219,8 @@ class QueryEvaluator:
 
         variables = self._output_variables(query)
         if not query.order_by:
-            bound, rows = self._page_ids(query, query.offset, query.limit)
-            return ResultSet(variables, self._decode_rows(bound, rows))
+            page = self._page_ids(query, query.offset, query.limit)
+            return ResultSet(variables, self._decode_columns(variables, *page), page[2])
 
         # Ordering needs the full solution sequence; decode eagerly.
         decoded = (
@@ -230,12 +231,12 @@ class QueryEvaluator:
             # ORDER BY ... LIMIT k: a bounded heap selects the top
             # offset+k rows in one pass instead of materialising and
             # fully sorting every solution.
-            return ResultSet(variables, self._top_rows(decoded, query))
+            return ResultSet.from_rows(variables, self._top_rows(decoded, query))
         rows = self._order_rows(list(decoded), query)
         if query.distinct:
             rows = self._distinct_list(rows)
         rows = self._slice(rows, query.offset, query.limit)
-        return ResultSet(variables, rows)
+        return ResultSet.from_rows(variables, rows)
 
     @staticmethod
     def _output_variables(query: SelectQuery) -> List[Variable]:
@@ -246,14 +247,16 @@ class QueryEvaluator:
 
     def _page_ids(
         self, query: SelectQuery, offset: int, limit: Optional[int]
-    ) -> Tuple[List[Variable], List[tuple]]:
+    ) -> Tuple[List[Variable], List[list], int]:
         """The ``offset``/``limit`` page of an unordered SELECT, in ID space.
 
-        Returns ``(bound, rows)``: each row is a tuple aligned with
-        ``bound`` whose values are dictionary IDs, Terms (expression
-        projections, out-of-dictionary VALUES terms) or ``None``
-        (unbound).  ``offset`` and ``limit`` replace the query's own, so a
-        shard can serve its slice of a global page (see
+        Returns ``(bound, columns, size)``: one column per variable of
+        ``bound``, each holding the page's ``size`` values in row order —
+        dictionary IDs, Terms (expression projections, out-of-dictionary
+        VALUES terms) or ``None`` (unbound).  A projected variable missing
+        from ``bound`` is unbound in every row.  ``offset`` and ``limit``
+        replace the query's own, so a shard can serve its slice of a
+        global page (see
         :class:`~repro.sparql.scatter.ShardedQueryEvaluator`); the rows are
         the ones the per-row path yields, in the same order, whichever of
         the two paths answers:
@@ -263,7 +266,8 @@ class QueryEvaluator:
           seeded by the VALUES rows and masked by the FILTERs, are
           projected, deduplicated and paged by :func:`kernels.finish`;
         * otherwise per row: :meth:`_evaluate_group` solutions are
-          projected, deduplicated and sliced one at a time.
+          projected, deduplicated and sliced one at a time, and the rows
+          are transposed into columns once at the end.
         """
         variables = self._output_variables(query)
         plan = self._columnar_plan(query)
@@ -285,22 +289,18 @@ class QueryEvaluator:
         if offset or limit is not None:
             stop = None if limit is None else offset + limit
             projected = islice(projected, offset, stop)
-        return variables, list(projected)
+        rows = list(projected)
+        if not rows:
+            return variables, [[] for _ in variables], 0
+        return variables, [list(column) for column in zip(*rows)], len(rows)
 
-    def _decode_rows(
-        self, bound: List[Variable], rows: Iterable[tuple]
-    ) -> List[Binding]:
-        """Term-space :class:`Binding` rows of a :meth:`_page_ids` page."""
-        decode = self._dict.decode
+    def _decode_columns(self, variables, bound, columns, size: int) -> List[list]:
+        """The Term columns of a :meth:`_page_ids` page, aligned with
+        ``variables`` (all ``None`` for a variable missing from ``bound``)."""
+        decoded = dict(zip(bound, map(self._dict.decode_column, columns)))
         return [
-            Binding(
-                {
-                    variable: decode(value) if type(value) is int else value
-                    for variable, value in zip(bound, row)
-                    if value is not None
-                }
-            )
-            for row in rows
+            decoded[variable] if variable in decoded else [None] * size
+            for variable in variables
         ]
 
     def _columnar_plan(self, query: SelectQuery) -> Optional[kernels.ColumnarPlan]:
@@ -391,7 +391,7 @@ class QueryEvaluator:
         blocks: Iterator[Tuple],
         offset: int,
         limit: Optional[int],
-    ) -> Tuple[List[Variable], List[tuple]]:
+    ) -> Tuple[List[Variable], List[List[int]], int]:
         """Project, deduplicate and page the kernel blocks in ID columns
         (:func:`kernels.finish`)."""
         self._metrics.increment("kernel.vectorized")
@@ -467,8 +467,7 @@ class QueryEvaluator:
             data[item.output_variable] = value_to_term(count)
 
         variables = [item.output_variable for item in query.projection]
-        rows = self._slice([Binding(data)], query.offset, query.limit)
-        return ResultSet(variables, rows)
+        return ResultSet.from_rows(variables, self._slice([data], query.offset, query.limit))
 
     def _evaluate_aggregate(
         self, query: SelectQuery, solutions: Iterable[IdBinding]
@@ -523,24 +522,7 @@ class QueryEvaluator:
             for solution in solutions:
                 accumulate(accumulators, solution)
 
-        variables = [item.output_variable for item in query.projection]
-        decode = self._dict.decode
-        rows: List[Binding] = []
-        for key, accumulators in groups.items():
-            data = {}
-            for variable, value in zip(group_by, key):
-                if value is not None:
-                    data[variable] = decode(value) if type(value) is int else value
-            counters = iter(accumulators)
-            for item in query.projection:
-                if isinstance(item.expression, CountExpression):
-                    counter = next(counters)
-                    count = len(counter) if isinstance(counter, set) else counter
-                    data[item.output_variable] = value_to_term(count)
-            rows.append(Binding(data))
-
-        rows = self._slice(rows, query.offset, query.limit)
-        return ResultSet(variables, rows)
+        return group_rows(query, group_by, groups, self._dict)
 
     def _project(
         self, query: SelectQuery, solution: IdBinding, variables: List[Variable]
@@ -663,7 +645,7 @@ class QueryEvaluator:
                 yield row
 
     @staticmethod
-    def _slice(rows: List[Binding], offset: int, limit: Optional[int]) -> List[Binding]:
+    def _slice(rows: list, offset: int, limit: Optional[int]) -> list:
         if offset:
             rows = rows[offset:]
         if limit is not None:

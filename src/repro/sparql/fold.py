@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sparql.ast import CountExpression, SelectQuery
-from repro.sparql.bindings import Binding, IdBinding, Variable
+from repro.sparql.bindings import IdBinding, Variable
 from repro.sparql.functions import value_to_term
 from repro.sparql.results import ResultSet
 
@@ -206,20 +206,27 @@ def finalize(
 ) -> ResultSet:
     """Decode the merged partials into the query's result set.
 
-    Identical decode/row shape to ``_evaluate_aggregate``: grouping values
-    decode from IDs, counters become integer literals, an ungrouped query
-    over an empty input still yields its single zero row, and
-    OFFSET/LIMIT slice the final rows.
+    An ungrouped query over an empty input still yields its single zero
+    row; the rows are those of :func:`group_rows`, exactly as
+    ``_evaluate_aggregate`` builds them.
     """
     if not spec.group_by and not merged:
         merged[()] = [set() if item.distinct else 0 for item in spec.items]
+    return group_rows(query, spec.group_by, merged, dictionary)
 
+
+def group_rows(query: SelectQuery, group_by, groups: Partial, dictionary) -> ResultSet:
+    """The result set of folded COUNT groups, one row per group.
+
+    Grouping values decode from IDs, counters (ints, or sets counted by
+    size) become integer literals, and OFFSET/LIMIT slice the rows.
+    """
     variables = [item.output_variable for item in query.projection]
     decode = dictionary.decode
-    rows: List[Binding] = []
-    for key, accumulators in merged.items():
+    rows: List[dict] = []
+    for key, accumulators in groups.items():
         data = {}
-        for variable, value in zip(spec.group_by, key):
+        for variable, value in zip(group_by, key):
             if value is not None:
                 data[variable] = decode(value) if type(value) is int else value
         counters = iter(accumulators)
@@ -228,10 +235,10 @@ def finalize(
                 counter = next(counters)
                 count = len(counter) if isinstance(counter, set) else counter
                 data[item.output_variable] = value_to_term(count)
-        rows.append(Binding(data))
+        rows.append(data)
 
     if query.offset:
         rows = rows[query.offset :]
     if query.limit is not None:
         rows = rows[: query.limit]
-    return ResultSet(variables, rows)
+    return ResultSet.from_rows(variables, rows)

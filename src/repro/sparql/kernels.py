@@ -38,7 +38,8 @@ How the blocks leave the kernels depends on the query:
   patterns, at most one VALUES node and ``=`` / ``!=`` / ``[NOT]
   EXISTS`` FILTERs; see :class:`ColumnarPlan`), projection, DISTINCT and
   OFFSET/LIMIT run on the ID columns and only the page's rows come out,
-  as ID tuples.  Two more block operators serve it:
+  as one list of IDs per projected variable — the columns the evaluator
+  decodes and the result set keeps.  Two more block operators serve it:
 
   * **Seed + lookup** — the VALUES rows become the first block, and the
     plan's ``scan`` makes one index call per seed row, gathering the
@@ -645,13 +646,14 @@ def _execute(evaluator, steps, prefix) -> Iterator[IdBinding]:
 # --------------------------------------------------------------------- #
 def finish(
     blocks, variables, distinct: bool, offset: int, limit: Optional[int]
-) -> Tuple[List[Variable], List[tuple]]:
+) -> Tuple[List[Variable], List[List[int]], int]:
     """Project, deduplicate and page a block stream without per-row Python.
 
-    Returns ``(bound, rows)``: the projected ``variables`` the blocks bind
-    (projection order, duplicates dropped) and the surviving page as ID
-    tuples aligned with ``bound``.  A projected variable the plan never
-    binds is left out of ``bound``, so it stays unbound in every row.
+    Returns ``(bound, columns, size)``: the projected ``variables`` the
+    blocks bind (projection order, duplicates dropped), one list of IDs
+    per bound variable holding the surviving page, and the page's row
+    count.  A projected variable the plan never binds is left out of
+    ``bound``, so it stays unbound in every row.
 
     Row order is exactly the per-row path's (emit each block's rows in
     order, project, keep each row's first occurrence under DISTINCT, then
@@ -663,9 +665,10 @@ def finish(
     """
     stop = None if limit is None else offset + limit
     bound: List[Variable] = []
-    rows: List[tuple] = []
+    page: List[List[int]] = []
+    size = 0
     if limit == 0:
-        return bound, rows
+        return bound, page, size
     slots: Optional[List[int]] = None
     seen: set = set()
     counted = None  # the previous block's rows, not yet in ``seen``
@@ -674,6 +677,7 @@ def finish(
         if slots is None:
             bound = [v for v in dict.fromkeys(variables) if v in block_vars]
             slots = [block_vars.index(v) for v in bound]
+            page = [[] for _ in bound]
         cols = [cols[slot] for slot in slots]
         if distinct:
             # Earlier blocks' rows only matter once a later block exists,
@@ -691,14 +695,13 @@ def finish(
         start = max(0, offset - taken)
         end = n if stop is None else min(n, stop - taken)
         if start < end:
-            if cols:
-                rows.extend(zip(*(col[start:end].tolist() for col in cols)))
-            else:
-                rows.extend([()] * (end - start))
+            for target, col in zip(page, cols):
+                target.extend(col[start:end].tolist())
+            size += end - start
         taken += n
         if stop is not None and taken >= stop:
             break
-    return bound, rows
+    return bound, page, size
 
 
 def _first_rows(cols: List, n: int) -> Tuple[List, int]:

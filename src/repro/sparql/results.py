@@ -2,73 +2,105 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.rdf.terms import Literal, Term
 from repro.sparql.bindings import Binding, Variable
 
 
 class ResultSet:
-    """The result of a ``SELECT`` query.
-
-    A result set is a sequence of rows; each row maps output variable names
-    to RDF terms (or ``None`` for unbound OPTIONAL variables).
+    """The result of a ``SELECT`` query, held column by column.
 
     Attributes
     ----------
     variables:
         The projected variables in SELECT-clause order.
-    rows:
-        The solution rows as :class:`~repro.sparql.bindings.Binding`.
+    columns:
+        One list of terms per variable, aligned with ``variables``
+        (``None`` where the variable is unbound in that row).
+    size:
+        The row count (a result without variables still has rows).
     truncated:
         Set by the endpoint layer when the row count was capped by policy.
+
+    :attr:`rows` and iteration build :class:`Binding` rows on demand,
+    for tests and examples; the library reads :attr:`columns`.
     """
 
-    def __init__(self, variables: Sequence[Variable], rows: Sequence[Binding]):
+    def __init__(self, variables: Sequence[Variable], columns: Sequence[list], size: int):
         self.variables: List[Variable] = list(variables)
-        self.rows: List[Binding] = list(rows)
+        self.columns: List[List[Optional[Term]]] = list(columns)
+        self.size = size
         self.truncated: bool = False
 
+    @classmethod
+    def from_rows(cls, variables: Sequence[Variable], rows: Iterable[Mapping]) -> "ResultSet":
+        """A result set from rows mapping variables to terms (transposed once)."""
+        rows = list(rows)
+        return cls(variables, [[row.get(v) for row in rows] for v in variables], len(rows))
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.size
 
     def __iter__(self) -> Iterator[Binding]:
         return iter(self.rows)
 
     def __bool__(self) -> bool:
-        return bool(self.rows)
+        return self.size > 0
 
     def __repr__(self) -> str:
         names = ", ".join(f"?{v.name}" for v in self.variables)
-        return f"ResultSet(vars=[{names}], rows={len(self.rows)})"
+        return f"ResultSet(vars=[{names}], rows={self.size})"
 
     # ------------------------------------------------------------------ #
+    def cells(self) -> Iterator[tuple]:
+        """The rows as tuples of terms aligned with :attr:`variables`."""
+        if self.columns:
+            return zip(*self.columns)
+        return repeat((), self.size)
+
+    @property
+    def rows(self) -> List[Binding]:
+        """The rows as :class:`Binding` objects (built on every access)."""
+        variables = self.variables
+        return [
+            Binding({v: t for v, t in zip(variables, cells) if t is not None})
+            for cells in self.cells()
+        ]
+
+    def truncate(self, cap: int) -> None:
+        """Keep only the first ``cap`` rows and mark the result truncated."""
+        self.columns = [column[:cap] for column in self.columns]
+        self.size = min(self.size, cap)
+        self.truncated = True
+
     def column(self, variable: Variable | str) -> List[Optional[Term]]:
-        """All values of one variable, in row order (``None`` when unbound)."""
+        """All values of one variable, in row order (``None`` when unbound).
+        This is the stored column: do not mutate it."""
         if isinstance(variable, str):
             variable = Variable(variable)
-        return [row.get_term(variable) for row in self.rows]
+        try:
+            return self.columns[self.variables.index(variable)]
+        except ValueError:
+            return [None] * self.size
 
     def distinct_column(self, variable: Variable | str) -> List[Term]:
         """Distinct non-null values of one variable, preserving first-seen order."""
-        seen: Dict[Term, None] = {}
-        for value in self.column(variable):
-            if value is not None and value not in seen:
-                seen[value] = None
+        seen: Dict[Term, None] = dict.fromkeys(self.column(variable))
+        seen.pop(None, None)
         return list(seen)
 
     def to_dicts(self) -> List[Dict[str, Optional[Term]]]:
         """Rows as plain dictionaries keyed by variable name."""
-        result = []
-        for row in self.rows:
-            result.append({v.name: row.get_term(v) for v in self.variables})
-        return result
+        names = [v.name for v in self.variables]
+        return [dict(zip(names, cells)) for cells in self.cells()]
 
     def scalar(self) -> Optional[Term]:
         """The single value of a one-row, one-variable result (else ``None``)."""
-        if len(self.rows) != 1 or len(self.variables) != 1:
+        if self.size != 1 or len(self.variables) != 1:
             return None
-        return self.rows[0].get_term(self.variables[0])
+        return self.columns[0][0]
 
     def scalar_int(self, default: int = 0) -> int:
         """The scalar as an integer — convenient for ``COUNT`` queries."""
@@ -91,14 +123,10 @@ class ResultSet:
     def to_text(self, max_rows: int = 20) -> str:
         """A small fixed-width text rendering for logs and examples."""
         header = [f"?{v.name}" for v in self.variables]
-        body: List[List[str]] = []
-        for row in self.rows[:max_rows]:
-            body.append(
-                [
-                    str(row.get_term(v)) if row.get_term(v) is not None else ""
-                    for v in self.variables
-                ]
-            )
+        body: List[List[str]] = [
+            ["" if term is None else str(term) for term in cells]
+            for cells, _ in zip(self.cells(), range(max_rows))
+        ]
         widths = [len(h) for h in header]
         for line in body:
             for i, cell in enumerate(line):
@@ -109,8 +137,8 @@ class ResultSet:
         ]
         for line in body:
             lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)))
-        if len(self.rows) > max_rows:
-            lines.append(f"... ({len(self.rows) - max_rows} more rows)")
+        if self.size > max_rows:
+            lines.append(f"... ({self.size - max_rows} more rows)")
         return "\n".join(lines)
 
 

@@ -603,11 +603,18 @@ class ShardedQueryEvaluator(QueryEvaluator):
             if span is not None:
                 span.finish(status="error", error=error)
             raise
-        rows = [row for bound, ids in parts for row in self._decode_rows(bound, ids)]
+        variables = self._output_variables(query)
+        columns: List[list] = [[] for _ in variables]
+        size = 0
+        for bound, ids, count in parts:
+            decoded = self._decode_columns(variables, bound, ids, count)
+            for column, part in zip(columns, decoded):
+                column.extend(part)
+            size += count
         if span is not None:
-            span.annotate(rows=len(rows))
+            span.annotate(rows=size)
             span.finish()
-        return ResultSet(self._output_variables(query), rows)
+        return ResultSet(variables, columns, size)
 
     def _stash_projection(self, query: SelectQuery) -> bool:
         """Arm worker-side projection pushdown for this query's top group.

@@ -21,12 +21,12 @@ socket.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Union
+from typing import Dict, Union
 
 from repro.errors import SparqlError
 from repro.rdf.ntriples import term_to_ntriples
 from repro.rdf.terms import IRI, BlankNode, Literal, Term, XSD_STRING
-from repro.sparql.bindings import Binding, Variable
+from repro.sparql.bindings import Variable
 from repro.sparql.results import AskResult, ResultSet
 
 #: Media type of the SPARQL 1.1 JSON results format.
@@ -84,18 +84,13 @@ def to_sparql_json(result: Union[ResultSet, AskResult]) -> str:
     if isinstance(result, AskResult):
         document: Dict[str, object] = {"head": {}, "boolean": bool(result)}
     elif isinstance(result, ResultSet):
-        bindings: List[Dict[str, Dict[str, str]]] = []
-        for row in result.rows:
-            entry: Dict[str, Dict[str, str]] = {}
-            for variable in result.variables:
-                term = row.get_term(variable)
-                if term is not None:  # unbound OPTIONAL variables are omitted
-                    entry[variable.name] = term_to_json(term)
-            bindings.append(entry)
-        document = {
-            "head": {"vars": [v.name for v in result.variables]},
-            "results": {"bindings": bindings},
-        }
+        names = [v.name for v in result.variables]
+        bindings = [
+            # Unbound OPTIONAL variables are omitted.
+            {name: term_to_json(term) for name, term in zip(names, cells) if term is not None}
+            for cells in result.cells()
+        ]
+        document = {"head": {"vars": names}, "results": {"bindings": bindings}}
     else:
         raise SparqlError(
             f"Cannot serialise result of type {type(result).__name__}"
@@ -119,17 +114,18 @@ def from_sparql_json(text: Union[str, bytes]) -> Union[ResultSet, AskResult]:
     results = document.get("results")
     if not isinstance(results, dict) or "bindings" not in results:
         raise SparqlError("Results-JSON document has neither boolean nor bindings")
-    variables = [Variable(name) for name in head.get("vars", [])]
-    rows: List[Binding] = []
-    for entry in results["bindings"]:
+    names = head.get("vars", [])
+    entries = results["bindings"]
+    # A name listed twice in the head shares one column.
+    columns = {name: [None] * len(entries) for name in names}
+    for row, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise SparqlError(f"Malformed results-JSON binding: {entry!r}")
-        rows.append(
-            Binding(
-                {Variable(name): term_from_json(obj) for name, obj in entry.items()}
-            )
-        )
-    return ResultSet(variables, rows)
+        for name, obj in entry.items():
+            term = term_from_json(obj)
+            if name in columns:  # a name outside the head binds nothing
+                columns[name][row] = term
+    return ResultSet([Variable(n) for n in names], [columns[n] for n in names], len(entries))
 
 
 # --------------------------------------------------------------------- #
@@ -150,12 +146,10 @@ def to_sparql_tsv(result: ResultSet) -> str:
             f"not {type(result).__name__}"
         )
     lines = ["\t".join(f"?{v.name}" for v in result.variables)]
-    for row in result.rows:
-        cells = []
-        for variable in result.variables:
-            term = row.get_term(variable)
-            cells.append("" if term is None else term_to_ntriples(term))
-        lines.append("\t".join(cells))
+    for cells in result.cells():
+        lines.append(
+            "\t".join("" if term is None else term_to_ntriples(term) for term in cells)
+        )
     return "\n".join(lines) + "\n"
 
 

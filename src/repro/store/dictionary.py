@@ -332,6 +332,26 @@ class TermDictionary:
             self._ids[term] = tid
         return term
 
+    def decode_column(self, values: Sequence) -> List[Optional[Term]]:
+        """The terms of a result column, in order.
+
+        ``values`` holds IDs, or also Terms (passed through) and ``None``
+        (unbound).  A column of IDs is one index pass over the terms
+        list; entries of a snapshot base not decoded yet are then parsed
+        one by one through :meth:`decode`.
+        """
+        try:
+            column = list(map(self._terms.__getitem__, values))
+        except (TypeError, IndexError):  # Terms, unbound cells or a bad ID
+            decode = self.decode
+            return [decode(value) if type(value) is int else value for value in values]
+        # Terms are always truthy, so ``all`` finds an undecoded entry in C.
+        if len(self._lookup) and not all(column):
+            decode = self.decode
+            column = [term if term is not None else decode(value)
+                      for term, value in zip(column, values)]
+        return column
+
     def decode_triple(self, ids: Tuple[int, int, int]) -> Triple:
         """Rebuild a :class:`Triple` from an ID triple."""
         decode = self.decode

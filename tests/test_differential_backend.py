@@ -104,7 +104,8 @@ def _backend_evaluators(triples, stack: ExitStack):
     """``(reference, [(label, evaluator), ...])`` across both backends."""
     reference = QueryEvaluator(TripleStore(triples=triples))
     evaluators = []
-    tmp = Path(tempfile.mkdtemp(prefix="diffbackend-"))
+    # Entered first, so it is removed after every executor has closed.
+    tmp = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="diffbackend-")))
     for count in SHARD_COUNTS:
         store = ShardedTripleStore(num_shards=count, triples=triples)
         evaluators.append((f"thread-{count}", ShardedQueryEvaluator(store)))

@@ -20,6 +20,7 @@ semantics instead of row identity.
 import tempfile
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -82,73 +83,74 @@ def _multiset(result) -> Counter:
     return Counter(frozenset(row.items()) for row in result)
 
 
+@contextmanager
 def _reopened_evaluators(triples):
     """(reference, [evaluator per representation]) over one dataset.
 
-    Every reopened store lives in a fresh temporary directory; the mmap
-    stays valid for the evaluators' lifetime because the store retains
-    the mapped buffer.
+    Every reopened store lives in one fresh temporary directory, removed
+    when the ``with`` block ends.
     """
-    warm = TripleStore(triples=triples)
-    evaluators = [("warm", QueryEvaluator(warm))]
-    tmp = Path(tempfile.mkdtemp(prefix="diffpersist-"))
-    warm.save(tmp / "single.snap")
-    evaluators.append(
-        ("cold-mmap", QueryEvaluator(TripleStore.open(tmp / "single.snap")))
-    )
-    for count in SHARD_COUNTS:
-        sharded = ShardedTripleStore(num_shards=count, triples=triples)
-        directory = tmp / f"shards{count}"
-        sharded.save(directory)
+    with tempfile.TemporaryDirectory(prefix="diffpersist-") as name:
+        tmp = Path(name)
+        warm = TripleStore(triples=triples)
+        evaluators = [("warm", QueryEvaluator(warm))]
+        warm.save(tmp / "single.snap")
+        evaluators.append(
+            ("cold-mmap", QueryEvaluator(TripleStore.open(tmp / "single.snap")))
+        )
+        for count in SHARD_COUNTS:
+            sharded = ShardedTripleStore(num_shards=count, triples=triples)
+            directory = tmp / f"shards{count}"
+            sharded.save(directory)
+            evaluators.append(
+                (
+                    f"cold-shards{count}",
+                    ShardedQueryEvaluator(ShardedTripleStore.open(directory)),
+                )
+            )
+        # The same dataset arriving as base + mutation burst must replay
+        # (delta chain) and fold (compact) to identical answers.
+        half = len(triples) // 2
+        chained = TripleStore(triples=triples[:half])
+        chained.save(tmp / "chain.snap")
+        for triple in triples[half:]:
+            chained.add(triple)
+        chained.save_delta(tmp / "chain.snap")
+        evaluators.append(
+            ("delta-replay", QueryEvaluator(TripleStore.open(tmp / "chain.snap")))
+        )
+        chained.compact(tmp / "chain.snap")
+        evaluators.append(
+            ("compacted", QueryEvaluator(TripleStore.open(tmp / "chain.snap")))
+        )
+        sharded_chain = ShardedTripleStore(num_shards=2, triples=iter(triples[:half]))
+        chain_dir = tmp / "chain-shards2"
+        sharded_chain.save(chain_dir)
+        for triple in triples[half:]:
+            sharded_chain.add(triple)
+        sharded_chain.save_delta(chain_dir)
         evaluators.append(
             (
-                f"cold-shards{count}",
-                ShardedQueryEvaluator(ShardedTripleStore.open(directory)),
+                "delta-shards2",
+                ShardedQueryEvaluator(ShardedTripleStore.open(chain_dir)),
             )
         )
-    # The same dataset arriving as base + mutation burst must replay
-    # (delta chain) and fold (compact) to identical answers.
-    half = len(triples) // 2
-    chained = TripleStore(triples=triples[:half])
-    chained.save(tmp / "chain.snap")
-    for triple in triples[half:]:
-        chained.add(triple)
-    chained.save_delta(tmp / "chain.snap")
-    evaluators.append(
-        ("delta-replay", QueryEvaluator(TripleStore.open(tmp / "chain.snap")))
-    )
-    chained.compact(tmp / "chain.snap")
-    evaluators.append(
-        ("compacted", QueryEvaluator(TripleStore.open(tmp / "chain.snap")))
-    )
-    sharded_chain = ShardedTripleStore(num_shards=2, triples=iter(triples[:half]))
-    chain_dir = tmp / "chain-shards2"
-    sharded_chain.save(chain_dir)
-    for triple in triples[half:]:
-        sharded_chain.add(triple)
-    sharded_chain.save_delta(chain_dir)
-    evaluators.append(
-        (
-            "delta-shards2",
-            ShardedQueryEvaluator(ShardedTripleStore.open(chain_dir)),
+        sharded_chain.compact(chain_dir)
+        evaluators.append(
+            (
+                "compacted-shards2",
+                ShardedQueryEvaluator(ShardedTripleStore.open(chain_dir)),
+            )
         )
-    )
-    sharded_chain.compact(chain_dir)
-    evaluators.append(
-        (
-            "compacted-shards2",
-            ShardedQueryEvaluator(ShardedTripleStore.open(chain_dir)),
-        )
-    )
-    return evaluators
+        yield evaluators
 
 
 def _assert_identical(query, triples):
-    evaluators = _reopened_evaluators(triples)
-    _, reference = evaluators[0]
-    expected = _multiset(reference.evaluate(query))
-    for label, evaluator in evaluators[1:]:
-        assert _multiset(evaluator.evaluate(query)) == expected, label
+    with _reopened_evaluators(triples) as evaluators:
+        _, reference = evaluators[0]
+        expected = _multiset(reference.evaluate(query))
+        for label, evaluator in evaluators[1:]:
+            assert _multiset(evaluator.evaluate(query)) == expected, label
 
 
 class TestDifferentialSelect:
@@ -213,11 +215,11 @@ class TestDifferentialAskLimitCount:
     @settings(max_examples=30, deadline=None)
     def test_ask(self, triples, patterns):
         query = AskQuery(where=GroupGraphPattern(tuple(patterns)))
-        evaluators = _reopened_evaluators(triples)
-        _, reference = evaluators[0]
-        expected = bool(reference.evaluate(query))
-        for label, evaluator in evaluators[1:]:
-            assert bool(evaluator.evaluate(query)) == expected, label
+        with _reopened_evaluators(triples) as evaluators:
+            _, reference = evaluators[0]
+            expected = bool(reference.evaluate(query))
+            for label, evaluator in evaluators[1:]:
+                assert bool(evaluator.evaluate(query)) == expected, label
 
     @given(
         _triples,
@@ -231,15 +233,15 @@ class TestDifferentialAskLimitCount:
         paged = SelectQuery(
             projection=(), where=where, select_all=True, limit=limit
         )
-        evaluators = _reopened_evaluators(triples)
-        _, reference = evaluators[0]
-        universe = _multiset(reference.evaluate(full))
-        expected_size = min(limit, sum(universe.values()))
-        for label, evaluator in evaluators[1:]:
-            page = _multiset(evaluator.evaluate(paged))
-            assert sum(page.values()) == expected_size, label
-            for row, count in page.items():
-                assert universe[row] >= count, label
+        with _reopened_evaluators(triples) as evaluators:
+            _, reference = evaluators[0]
+            universe = _multiset(reference.evaluate(full))
+            expected_size = min(limit, sum(universe.values()))
+            for label, evaluator in evaluators[1:]:
+                page = _multiset(evaluator.evaluate(paged))
+                assert sum(page.values()) == expected_size, label
+                for row, count in page.items():
+                    assert universe[row] >= count, label
 
     @given(_triples, st.lists(_patterns, min_size=1, max_size=3))
     @settings(max_examples=25, deadline=None)

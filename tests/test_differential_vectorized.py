@@ -105,7 +105,8 @@ def _vectorized_evaluators(triples, stack: ExitStack):
     reference = QueryEvaluator(TripleStore(triples=triples), use_vectorized=False)
     warm = TripleStore(triples=triples)
     evaluators = [("warm", QueryEvaluator(warm))]
-    tmp = Path(tempfile.mkdtemp(prefix="diffvec-"))
+    # Entered first, so it is removed after the executor has closed.
+    tmp = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="diffvec-")))
     warm.save(tmp / "store.snap")
     evaluators.append(("cold-mmap", QueryEvaluator(TripleStore.open(tmp / "store.snap"))))
     for count in SHARD_COUNTS:

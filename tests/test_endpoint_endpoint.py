@@ -129,6 +129,48 @@ class TestParseCache:
         assert parse_cache_info().misses == 1
 
 
+class TestColumnarTruncation:
+    """The row cap slices every column of a columnar result alike, and
+    the quota and the log agree on both truncation paths."""
+
+    QUERIES = [
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",  # block kernels
+        "SELECT ?s ?c WHERE { ?s ?p ?o OPTIONAL { ?s ex:bornIn ?c } }",  # per row
+        "SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o",  # ordered rows
+    ]
+    CAP = 3
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_silent_cap_slices_every_column(self, people_store, query):
+        full = SparqlEndpoint(people_store).select(PREFIX + query)
+        assert len(full) > self.CAP
+        policy = AccessPolicy(max_queries=4, max_result_rows=self.CAP)
+        endpoint = SparqlEndpoint(people_store, policy=policy)
+        result = endpoint.select(PREFIX + query)
+        assert result.truncated
+        assert len(result) == self.CAP
+        assert [len(column) for column in result.columns] == [self.CAP] * len(
+            result.variables
+        )
+        assert result.to_dicts() == full.to_dicts()[: self.CAP]
+        record = list(endpoint.log)[0]
+        assert record.truncated and record.row_count == self.CAP
+        assert endpoint.queries_remaining + endpoint.log.query_count == 4
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_hard_cap_logs_the_capped_count(self, people_store, query):
+        policy = AccessPolicy(
+            max_queries=4, max_result_rows=self.CAP, fail_on_truncation=True
+        )
+        endpoint = SparqlEndpoint(people_store, policy=policy)
+        with pytest.raises(ResultTruncated):
+            endpoint.select(PREFIX + query)
+        record = list(endpoint.log)[0]
+        assert record.truncated and record.row_count == self.CAP
+        assert endpoint.queries_remaining + endpoint.log.query_count == 4
+        assert endpoint.log.query_count == 1
+
+
 class TestAccountingInvariants:
     """The quota and the log must never diverge: every consumed budget
     slot corresponds to exactly one QueryRecord, whatever the outcome."""

@@ -1,8 +1,11 @@
 """Unit tests for the sameAs equivalence index (union-find)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.kb.sameas import SameAsIndex
 from repro.rdf.namespace import OWL
-from repro.rdf.terms import Literal
+from repro.rdf.terms import IRI, BlankNode, Literal
 from repro.rdf.triple import Triple
 
 from tests.conftest import EX, EX2
@@ -99,3 +102,55 @@ class TestConstructionAndExport:
         restricted = index.restricted_to([EX.a, EX2.a])
         assert restricted.are_same(EX.a, EX2.a)
         assert not restricted.are_same(EX.b, EX2.b)
+
+
+def _entity(spec):
+    """A fresh term object for ``(kind, n)``: equal terms are never the
+    same object, as when they come out of separate query results."""
+    kind, n = spec
+    if kind == "blank":
+        return BlankNode(f"b{n}")
+    return IRI((EX if kind == "kb1" else EX2).base + f"e{n % 3}_{n}")
+
+
+_SPECS = st.tuples(st.sampled_from(["kb1", "kb2", "blank"]), st.integers(0, 9))
+
+
+def _oracle_class(links, entity):
+    """The entities reachable from ``entity`` over the undirected links."""
+    reached, frontier = {entity}, [entity]
+    while frontier:
+        current = frontier.pop()
+        for left, right in links:
+            for here, there in ((left, right), (right, left)):
+                if here == current and there not in reached:
+                    reached.add(there)
+                    frontier.append(there)
+    return reached
+
+
+@given(
+    links=st.lists(st.tuples(_SPECS, _SPECS), max_size=25),
+    probes=st.lists(_SPECS, max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_translate_matches_brute_force(links, probes):
+    pairs = [(_entity(left), _entity(right)) for left, right in links]
+    index = SameAsIndex(pairs)
+    for spec in probes + [left for left, _ in links]:
+        entity = _entity(spec)
+        members = _oracle_class(pairs, entity)
+        assert index.equivalence_class(entity) == members
+        for namespace in (EX, EX2):
+            inside = sorted(
+                (m for m in members if isinstance(m, IRI) and m in namespace),
+                key=lambda m: m.value,
+            )
+            if isinstance(entity, IRI) and entity in namespace:
+                expected = entity
+            else:
+                expected = inside[0] if inside else None
+            assert index.translate(entity, namespace) == expected
+        for other in probes:
+            other = _entity(other)
+            assert index.are_same(entity, other) == (other in members)

@@ -30,7 +30,7 @@ def _result() -> ResultSet:
         Binding({A: IRI("http://x.test/t")}),  # ?b unbound
         Binding({A: Literal(42), B: Literal("tab\there")}),
     ]
-    return ResultSet([A, B], rows)
+    return ResultSet.from_rows([A, B], rows)
 
 
 class TestTermJson:
@@ -137,7 +137,7 @@ class TestScalarInt:
 
     def _scalar(self, literal) -> ResultSet:
         variable = Variable("c")
-        return ResultSet([variable], [Binding({variable: literal})])
+        return ResultSet.from_rows([variable], [Binding({variable: literal})])
 
     def test_plain_integer(self):
         assert self._scalar(Literal(17)).scalar_int() == 17
@@ -159,5 +159,5 @@ class TestScalarInt:
 
     def test_non_literal_and_empty_default(self):
         variable = Variable("c")
-        assert ResultSet([variable], []).scalar_int(default=5) == 5
+        assert ResultSet.from_rows([variable], []).scalar_int(default=5) == 5
         assert self._scalar(IRI("http://x.test/s")).scalar_int() == 0

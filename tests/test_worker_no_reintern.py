@@ -92,8 +92,9 @@ class TestNoReintern:
         group = GroupGraphPattern(elements)
 
         store = ShardedTripleStore(num_shards=2, triples=triples)
-        directory = Path(tempfile.mkdtemp(prefix="nointern-")) / "snap"
-        with store.serve(directory, start_method=START_METHOD) as executor:
+        with tempfile.TemporaryDirectory(prefix="nointern-") as tmp, store.serve(
+            Path(tmp) / "snap", start_method=START_METHOD
+        ) as executor:
             worker_rows = list(
                 executor.run_group(range(store.num_shards), group)
             )
@@ -127,23 +128,24 @@ class TestNoReintern:
     @settings(max_examples=8, deadline=None)
     def test_cold_parent_round_trip_interns_nothing(self, triples):
         store = ShardedTripleStore(num_shards=2, triples=triples)
-        directory = Path(tempfile.mkdtemp(prefix="nointern-cold-")) / "snap"
-        store.save(directory)
-        cold = ShardedTripleStore.open(directory)
-        with cold.serve(directory, start_method=START_METHOD) as executor:
-            evaluator = ShardedQueryEvaluator(
-                cold, backend="process", executor=executor
-            )
-            result = evaluator.evaluate(
-                "SELECT ?s ?p ?o WHERE { ?s ?p ?o . "
-                "?s <http://nointern.test/n0> ?x }"
-            )
-            # Results decode through the parent's dictionary without
-            # interning anything; the workers interned nothing either.
-            assert cold.dictionary.interned == 0
-            for shard in cold.shards:
-                assert shard.is_frozen
-            for info in executor.ping_all():
-                assert info["interned"] == 0
-                assert all(info["frozen"].values())
-            assert result is not None
+        with tempfile.TemporaryDirectory(prefix="nointern-cold-") as tmp:
+            directory = Path(tmp) / "snap"
+            store.save(directory)
+            cold = ShardedTripleStore.open(directory)
+            with cold.serve(directory, start_method=START_METHOD) as executor:
+                evaluator = ShardedQueryEvaluator(
+                    cold, backend="process", executor=executor
+                )
+                result = evaluator.evaluate(
+                    "SELECT ?s ?p ?o WHERE { ?s ?p ?o . "
+                    "?s <http://nointern.test/n0> ?x }"
+                )
+                # Results decode through the parent's dictionary without
+                # interning anything; the workers interned nothing either.
+                assert cold.dictionary.interned == 0
+                for shard in cold.shards:
+                    assert shard.is_frozen
+                for info in executor.ping_all():
+                    assert info["interned"] == 0
+                    assert all(info["frozen"].values())
+                assert result is not None

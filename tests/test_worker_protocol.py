@@ -79,8 +79,8 @@ def served():
     """One 4-shard store, its snapshot and a booted executor, shared by
     the module (worker boots dominate the cost of these tests)."""
     store = ShardedTripleStore(num_shards=4, triples=_triples())
-    with store.serve(
-        tempfile.mkdtemp(prefix="workers-proto-"), start_method=START_METHOD
+    with tempfile.TemporaryDirectory(prefix="workers-proto-") as tmp, store.serve(
+        tmp, start_method=START_METHOD
     ) as executor:
         yield store, executor
 
