@@ -47,7 +47,10 @@ _ROOT = Path(__file__).parent.parent
 _SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+if str(_ROOT) not in sys.path:
+    sys.path.append(str(_ROOT))
 
+from benchmarks.timing import best_of  # noqa: E402
 from repro.endpoint.policy import AccessPolicy  # noqa: E402
 from repro.endpoint.simulation import SimulatedSparqlEndpoint  # noqa: E402
 from repro.rdf.namespace import Namespace  # noqa: E402
@@ -56,6 +59,9 @@ from repro.rdf.triple import Triple  # noqa: E402
 from repro.shard.sharded_store import ShardedTripleStore  # noqa: E402
 from repro.synthetic.generator import generate_world  # noqa: E402
 from repro.synthetic.presets import yago_dbpedia_spec  # noqa: E402
+
+#: Timed runs per metric; the best one counts.
+REPEATS = 3
 
 EX = Namespace("http://bench.mutation/")
 
@@ -71,16 +77,6 @@ def _burst_triples(count: int, start: int = 0) -> list:
         Triple(EX[f"burst{start + i}"], EX.touched, EX[f"o{i % 17}"])
         for i in range(count)
     ]
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    """Best wall time of ``fn`` over ``repeats`` runs, in milliseconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0
 
 
 def _p99(samples: list) -> float:
@@ -113,7 +109,7 @@ def _bench_delta_lifecycle(triples: list, results: dict) -> None:
         round_counter[0] += 1
         clone.save(tmp / f"full{round_counter[0]}")
 
-    results["full_save_ms"] = _best_of(full_save)
+    results["full_save_ms"] = best_of(full_save, REPEATS)
 
     start = time.perf_counter()
     wrote = store.save_delta(base_dir)
@@ -126,8 +122,8 @@ def _bench_delta_lifecycle(triples: list, results: dict) -> None:
             results["full_save_ms"] / results["delta_save_ms"], 2
         )
 
-    results["delta_open_ms"] = _best_of(
-        lambda: ShardedTripleStore.open(base_dir)
+    results["delta_open_ms"] = best_of(
+        lambda: ShardedTripleStore.open(base_dir), REPEATS
     )
     reopened = ShardedTripleStore.open(base_dir)
     assert len(reopened) == len(store), "delta chain must replay fully"
@@ -135,8 +131,8 @@ def _bench_delta_lifecycle(triples: list, results: dict) -> None:
     start = time.perf_counter()
     store.compact(base_dir)
     results["compact_ms"] = (time.perf_counter() - start) * 1000.0
-    results["compacted_open_ms"] = _best_of(
-        lambda: ShardedTripleStore.open(base_dir)
+    results["compacted_open_ms"] = best_of(
+        lambda: ShardedTripleStore.open(base_dir), REPEATS
     )
 
     start = time.perf_counter()

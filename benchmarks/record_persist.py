@@ -43,30 +43,22 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 _ROOT = Path(__file__).parent.parent
 _SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+if str(_ROOT) not in sys.path:
+    sys.path.append(str(_ROOT))
 
+from benchmarks.timing import best_of  # noqa: E402
 from repro.shard.sharded_store import ShardedTripleStore  # noqa: E402
 from repro.sparql.evaluate import QueryEvaluator  # noqa: E402
 from repro.sparql.parser import parse_query  # noqa: E402
 from repro.store.triplestore import TripleStore  # noqa: E402
 from repro.synthetic.generator import generate_world  # noqa: E402
 from repro.synthetic.presets import yago_dbpedia_spec  # noqa: E402
-
-
-def _best_of(fn, repeats: int = 5) -> float:
-    """Best wall time of ``fn`` over ``repeats`` runs, in milliseconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0
 
 
 def _three_pattern_join(kb) -> str:
@@ -171,13 +163,13 @@ def _run_benchmarks(tmp: Path, spec, repeats: int) -> dict:
     # ------------------------------------------------------------------ #
     # Rebuild vs save vs cold open.
     # ------------------------------------------------------------------ #
-    results["rebuild_ms"] = _best_of(
+    results["rebuild_ms"] = best_of(
         lambda: TripleStore(name="bench").bulk_load(triples), repeats
     )
-    results["save_ms"] = _best_of(lambda: store.save(snap), repeats)
+    results["save_ms"] = best_of(lambda: store.save(snap), repeats)
     results["snapshot_bytes"] = snap.stat().st_size
-    results["cold_open_ms"] = _best_of(lambda: TripleStore.open(snap), repeats)
-    results["cold_open_noverify_ms"] = _best_of(
+    results["cold_open_ms"] = best_of(lambda: TripleStore.open(snap), repeats)
+    results["cold_open_noverify_ms"] = best_of(
         lambda: TripleStore.open(snap, verify=False), repeats
     )
     results["cold_open_speedup"] = round(
@@ -203,8 +195,8 @@ def _run_benchmarks(tmp: Path, spec, repeats: int) -> dict:
     def cold_first_join() -> None:
         list(QueryEvaluator(cold_stores.pop()).evaluate(parsed))
 
-    results["first_join_warm_ms"] = _best_of(warm_first_join, join_repeats)
-    results["first_join_cold_ms"] = _best_of(cold_first_join, join_repeats)
+    results["first_join_warm_ms"] = best_of(warm_first_join, join_repeats)
+    results["first_join_cold_ms"] = best_of(cold_first_join, join_repeats)
     results["first_join_cold_over_warm"] = round(
         results["first_join_cold_ms"] / results["first_join_warm_ms"], 3
     )
@@ -226,8 +218,8 @@ def _run_benchmarks(tmp: Path, spec, repeats: int) -> dict:
     # ------------------------------------------------------------------ #
     sharded = ShardedTripleStore(num_shards=4, name="bench", triples=triples)
     shard_dir = tmp / "sharded"
-    results["sharded4_save_ms"] = _best_of(lambda: sharded.save(shard_dir), repeats)
-    results["sharded4_cold_open_ms"] = _best_of(
+    results["sharded4_save_ms"] = best_of(lambda: sharded.save(shard_dir), repeats)
+    results["sharded4_cold_open_ms"] = best_of(
         lambda: ShardedTripleStore.open(shard_dir), repeats
     )
     return results

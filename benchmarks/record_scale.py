@@ -18,9 +18,9 @@ this measures the PR's two hot paths end to end:
   regenerating).
 * **Vectorized joins** — ``join3_vec_ms`` vs ``join3_scalar_ms``: a
   3-pattern chain join over mid-tail predicates, evaluated with the
-  block kernels and with ``use_vectorized=False``; ``join3_speedup`` is
-  the headline ratio (the acceptance gate requires >= 3x on the 1M
-  preset).
+  block kernels and with the per-row reference operators the tests keep
+  (``tests/reference_engine.py``); ``join3_speedup`` is the headline
+  ratio (the acceptance gate requires >= 3x on the 1M preset).
 
 Usage::
 
@@ -47,25 +47,19 @@ _ROOT = Path(__file__).parent.parent
 _SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+if str(_ROOT) not in sys.path:
+    sys.path.append(str(_ROOT))
 
+from benchmarks.timing import best_of  # noqa: E402
 from repro.sparql.evaluate import QueryEvaluator  # noqa: E402
 from repro.sparql.parser import parse_query  # noqa: E402
 from repro.synthetic.cache import load_or_generate  # noqa: E402
 from repro.synthetic.stream import SCALE_PRESETS, scale_world_spec  # noqa: E402
+from tests.reference_engine import per_row_evaluator  # noqa: E402
 
 #: Mid-tail predicates of the skewed family: selective enough that the
-#: 3-pattern chain stays tractable for the scalar reference at 10M.
+#: 3-pattern chain stays tractable for the per-row reference at 10M.
 JOIN_PREDICATES = ("p4", "p5", "p6")
-
-
-def _best_of(fn, repeats: int) -> float:
-    """Best wall time of ``fn`` over ``repeats`` runs, in milliseconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0
 
 
 def _join_query(spec):
@@ -108,12 +102,12 @@ def bench_size(size_key: str, cache_root, refresh: bool) -> dict:
 
     query = _join_query(spec)
     vectorized = QueryEvaluator(store)
-    scalar = QueryEvaluator(store, use_vectorized=False)
+    scalar = per_row_evaluator(store)
     rows = len(vectorized.evaluate(query))
     assert len(scalar.evaluate(query)) == rows, "vectorized/scalar row-count mismatch"
     repeats = _repeats_for(world.triples)
-    vec_ms = _best_of(lambda: vectorized.evaluate(query), repeats)
-    scalar_ms = _best_of(lambda: scalar.evaluate(query), repeats)
+    vec_ms = best_of(lambda: vectorized.evaluate(query), repeats)
+    scalar_ms = best_of(lambda: scalar.evaluate(query), repeats)
     metrics.update(
         {
             "join3_rows": rows,

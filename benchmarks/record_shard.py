@@ -43,7 +43,10 @@ _ROOT = Path(__file__).parent.parent
 _SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+if str(_ROOT) not in sys.path:
+    sys.path.append(str(_ROOT))
 
+from benchmarks.timing import best_of  # noqa: E402
 from repro.endpoint.policy import AccessPolicy  # noqa: E402
 from repro.endpoint.simulation import (  # noqa: E402
     SimulatedSparqlEndpoint,
@@ -56,6 +59,9 @@ from repro.store.triplestore import TripleStore  # noqa: E402
 from repro.synthetic.generator import generate_world  # noqa: E402
 from repro.synthetic.presets import yago_dbpedia_spec  # noqa: E402
 
+#: Timed runs per metric; the best one counts.
+REPEATS = 3
+
 SHARD_COUNTS = (1, 2, 4, 8)
 
 #: Real seconds charged per virtual second of the policy's estimated cost.
@@ -63,16 +69,6 @@ SHARD_COUNTS = (1, 2, 4, 8)
 #: latency per query — small enough to benchmark, large enough to dominate
 #: a sequential client the way live endpoint latency does.
 LATENCY_SCALE = 0.004
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    """Best wall time of ``fn`` over ``repeats`` runs, in milliseconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0
 
 
 def _policy() -> AccessPolicy:
@@ -118,14 +114,15 @@ def run_benchmarks(spec=None) -> dict:
     # ------------------------------------------------------------------ #
     # Build times: single columnar load vs shard-parallel loads.
     # ------------------------------------------------------------------ #
-    results["build_single_ms"] = _best_of(
-        lambda: TripleStore(name="bench").bulk_load(triples)
+    results["build_single_ms"] = best_of(
+        lambda: TripleStore(name="bench").bulk_load(triples), REPEATS
     )
     for count in SHARD_COUNTS:
-        results[f"build_shards{count}_ms"] = _best_of(
+        results[f"build_shards{count}_ms"] = best_of(
             lambda count=count: ShardedTripleStore(
                 num_shards=count, name="bench"
-            ).bulk_load(triples, parallel=True)
+            ).bulk_load(triples, parallel=True),
+            REPEATS,
         )
 
     # ------------------------------------------------------------------ #

@@ -25,30 +25,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
-_SRC = Path(__file__).parent.parent / "src"
+_ROOT = Path(__file__).parent.parent
+_SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+if str(_ROOT) not in sys.path:
+    sys.path.append(str(_ROOT))
 
+from benchmarks.timing import best_of  # noqa: E402
 from repro.endpoint.client import EndpointClient  # noqa: E402
 from repro.endpoint.endpoint import SparqlEndpoint  # noqa: E402
 from repro.sparql.evaluate import evaluate_query  # noqa: E402
 from repro.synthetic.generator import generate_world  # noqa: E402
 from repro.synthetic.presets import yago_dbpedia_spec  # noqa: E402
 
-
-def _best_of(fn, repeats: int = 5, inner: int = 1) -> float:
-    """Best wall time of ``fn`` over ``repeats`` runs, in milliseconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        elapsed = (time.perf_counter() - start) / inner
-        best = min(best, elapsed)
-    return best * 1000.0
+#: Timed runs per metric; the best one counts.
+REPEATS = 5
 
 
 def run_benchmarks(spec=None) -> dict:
@@ -73,28 +67,29 @@ def run_benchmarks(spec=None) -> dict:
 
     results = {
         "triples": len(store),
-        "pattern_match_by_predicate_ms": _best_of(
-            lambda: sum(1 for _ in store.match(predicate=relation))
+        "pattern_match_by_predicate_ms": best_of(
+            lambda: sum(1 for _ in store.match(predicate=relation)), REPEATS
         ),
-        "membership_probe_ms": _best_of(
-            lambda: sum(1 for t in probes if t in store)
+        "membership_probe_ms": best_of(
+            lambda: sum(1 for t in probes if t in store), REPEATS
         ),
-        "count_by_predicate_ms": _best_of(
-            lambda: store.count(predicate=relation), inner=10
+        "count_by_predicate_ms": best_of(
+            lambda: store.count(predicate=relation), REPEATS, inner=10
         ),
-        "sparql_join_limit100_ms": _best_of(
-            lambda: evaluate_query(store, join_query)
+        "sparql_join_limit100_ms": best_of(
+            lambda: evaluate_query(store, join_query), REPEATS
         ),
-        "sparql_count_ms": _best_of(lambda: evaluate_query(store, count_query)),
-        "sparql_ask_ms": _best_of(lambda: evaluate_query(store, ask_query), inner=5),
-        "endpoint_batched_facts_ms": _best_of(
-            lambda: client.facts_of_subjects(subjects, relation)
+        "sparql_count_ms": best_of(lambda: evaluate_query(store, count_query), REPEATS),
+        "sparql_ask_ms": best_of(lambda: evaluate_query(store, ask_query), REPEATS, inner=5),
+        "endpoint_batched_facts_ms": best_of(
+            lambda: client.facts_of_subjects(subjects, relation), REPEATS
         ),
-        "endpoint_repeat_ask_100_ms": _best_of(
+        "endpoint_repeat_ask_100_ms": best_of(
             lambda: [
                 client.subject_has_relation(subject, relation)
                 for subject in subjects[:20]
-            ]
+            ],
+            REPEATS,
         ),
     }
     return results

@@ -1,10 +1,10 @@
 """Per-query span trees: record where a query's wall time went.
 
 A trace is a tree of :class:`Span` nodes rooted at one ``query`` span.
-The engine layers open child spans for the stages the ISSUE's telemetry
-story names — ``parse``, ``plan``, ``kernel``, ``scatter``, ``fold``,
-``ship:broadcast-build``, ``parent:merge/decode``, ``step:<operator>`` —
-and worker processes measure their own ``worker:exec`` spans, which the
+The engine layers open child spans for the stages a query passes
+through — ``parse``, ``plan``, ``kernel``, ``scatter``, ``fold``,
+``ship:broadcast-build``, ``parent:merge/decode`` — and worker
+processes measure their own ``worker:exec`` spans, which the
 executor re-parents into the caller's tree from the payload piggybacked
 on terminal protocol messages, so one tree shows the parent-vs-worker
 time split and the task's queue wait.

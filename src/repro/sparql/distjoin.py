@@ -375,7 +375,7 @@ def execute_ship_plan(
 
     The anchor sub-group streams through the normal local pipeline —
     over the seed bindings when :func:`anchor_seeds` seeds it, else in
-    full (vectorized when possible); each broadcast table is then probed
+    full; each broadcast table is then probed
     with a dict hash join.  Extensions go through
     :meth:`IdBinding.extend`'s conflict check, so variables the initial
     binding already pins filter correctly.
@@ -397,16 +397,14 @@ def _seeded_anchor(
 ) -> Iterable[IdBinding]:
     """The anchor's solutions under every seed.
 
-    The seeds bind the same variables, so one plan serves them all and a
-    key costs its index lookups, not a whole group evaluation; without
-    the planner each seed re-enters the group instead.
+    The seeds bind the same variables, so one plan serves them all: they
+    enter the block kernels as seed rows, and each key costs its index
+    lookups (:func:`repro.sparql.kernels.execute`), in seed order.
     """
     if not seeds:
         return ()
-    if not evaluator._use_planner:
-        return (s for seed in seeds for s in evaluator._evaluate_group(anchor, seed))
     plan = evaluator._plan_for(anchor, list(anchor.elements), set(seeds[0]), False)
-    return evaluator._run_plan(plan, seeds, root_call=False, single_input=False)
+    return evaluator._run_plan(plan, seeds, root_call=False)
 
 
 def _probe_table(

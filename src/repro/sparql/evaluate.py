@@ -14,54 +14,40 @@ for the rows actually returned.
 Columnar finish
 ---------------
 An unordered, non-aggregate SELECT whose projection is ``*`` or plain
-variables skips per-row solutions entirely when the planner and the
-block kernels are on, its WHERE group has a shape
-:meth:`QueryEvaluator._columnar_plan` accepts and *every* plan step
-vectorizes.  The accepted groups hold triple patterns plus at most one
-VALUES node (no UNDEF, every variable used by a pattern) and FILTERs of
-the forms ``?a = ?b``, ``?a != ?b`` and ``[NOT] EXISTS { one pattern }``
-over variables the patterns bind — the shapes of every non-aggregate
-query the aligner sends: paged samples, VALUES lookups and UBS
-disagreement samples.  The VALUES rows seed the kernels, the FILTERs
+variables skips per-row solutions entirely when its WHERE group has a
+shape :meth:`QueryEvaluator._columnar_plan` accepts: triple patterns plus
+at most one VALUES node (no UNDEF, every variable used by a pattern) and
+FILTERs of the forms ``?a = ?b``, ``?a != ?b`` and ``[NOT] EXISTS { one
+pattern }`` over variables the patterns bind — the shapes of every
+non-aggregate query the aligner sends: paged samples, VALUES lookups and
+UBS disagreement samples.  The VALUES rows seed the kernels, the FILTERs
 become block masks, and :func:`repro.sparql.kernels.finish` projects,
 deduplicates (DISTINCT) and pages (OFFSET/LIMIT) the ID columns; only the
 surviving page is decoded, one dictionary call per column.  Anything else
 — ORDER BY, aggregates, other FILTERs, OPTIONAL / UNION / subgroups,
-expression projections, a plan step the kernels cannot run, or an
-evaluator built with ``use_vectorized=False`` — takes the per-row chain:
-kernel or scalar solutions are projected, deduplicated and sliced one row
-at a time.  Both paths return the same rows in the same order; unordered
-pages decide which samples the aligner sees, so that order is part of the
-contract.  One method, :meth:`QueryEvaluator._page_ids`, owns both
-paths; sharded pages reuse it per shard (see :mod:`repro.sparql.scatter`).
+expression projections — takes the per-row chain: the kernels' rows are
+projected, deduplicated and sliced one at a time.  Both paths return the
+same rows in the same order; unordered pages decide which samples the
+aligner sees, so that order is part of the contract.  One method,
+:meth:`QueryEvaluator._page_ids`, owns both paths; sharded pages reuse it
+per shard (see :mod:`repro.sparql.scatter`).
 
-Plan → operator pipeline
-------------------------
+Plan → block pipeline
+---------------------
 Each basic graph pattern goes through :func:`repro.sparql.plan.plan_bgp`:
 a greedy planner estimates per-pattern cardinalities from the store's
 index bookkeeping, orders patterns by estimated output size given the
-variables already bound, and labels every step with a physical operator.
-The evaluator then assembles the generator chain from those labels:
-
-* ``scan`` / ``nested`` — per-solution index lookups
-  (:meth:`_join_pattern`), the cheapest choice for selective patterns;
-* ``merge`` — :meth:`_merge_join`, a sort-merge semi-join that walks the
-  pattern's sorted third-level ID run in lockstep with the (sorted)
-  solution stream;
-* ``hash`` — :meth:`_hash_join`, which builds a hash table over the
-  smaller estimated side once and probes it per streamed solution (also
-  used to avoid rescanning disconnected patterns per solution).
-
-All operators stream left-to-right, so ASK / LIMIT short-circuiting is
-preserved; the hash build side is the only materialised piece and the
-planner only picks it when that side is the smaller one.  Plans are
-cached per (group, bound-variables) and invalidated whenever the store's
-``data_version`` mutation stamp changes (every ``add`` / ``remove`` /
-``bulk_load`` bumps it, so plans cannot go stale after mutations that
-leave the size unchanged); ``QueryEvaluator(store, use_planner=False)``
-keeps the original constant-count ordering with nested joins as a
-reference implementation (benchmarks and property tests cross-check the
-two).
+variables already bound, and labels every step with a physical operator
+(``scan``, ``merge``, ``hash`` or ``nested``).  The block kernels
+(:mod:`repro.sparql.kernels`) then run the whole plan for every caller:
+the top-level group, VALUES-fed groups, and each group that arrives with
+bindings — OPTIONAL, UNION and subgroup re-entry, per-row FILTER EXISTS
+and seeded ship anchors — whose incoming solutions become the kernels'
+seed rows.  The blocks stream lazily, so ASK / LIMIT short-circuiting is
+preserved.  Plans are cached per (group, bound-variables) and
+invalidated whenever the store's ``data_version`` mutation stamp changes
+(every ``add`` / ``remove`` / ``bulk_load`` bumps it, so plans cannot go
+stale after mutations that leave the size unchanged).
 """
 
 from __future__ import annotations
@@ -97,8 +83,6 @@ from repro.sparql.fold import group_rows
 from repro.sparql.functions import EvalError, ExpressionEvaluator, value_to_term
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import (
-    HASH,
-    MERGE,
     PLAN_CACHE_LIMIT,
     BGPPlan,
     plan_bgp,
@@ -107,11 +91,6 @@ from repro.sparql.plan import (
 )
 from repro.sparql.results import AskResult, ResultSet
 from repro.store.triplestore import TripleStore
-
-#: Sentinel for "constant term unknown to the store's dictionary": the
-#: pattern can never match, which is distinct from ``None`` (wildcard).
-_MISS = object()
-
 
 class _Descending:
     """Wraps one ORDER BY sort-key component with inverted comparisons.
@@ -144,25 +123,12 @@ class QueryEvaluator:
     Parameters
     ----------
     store:
-        The dataset queried.
-    use_planner:
-        When ``True`` (default), basic graph patterns are ordered and
-        joined by the cardinality-driven planner (:mod:`repro.sparql.plan`).
-        ``False`` keeps the original constant-count ordering with nested
-        index-lookup joins — a reference implementation used by property
-        tests and benchmarks to cross-check the planned operators.
-    use_vectorized:
-        ``True`` (default) runs planned BGPs through the numpy block
-        kernels (:mod:`repro.sparql.kernels`); ``False`` keeps the scalar
-        per-row operators as the differential reference.
+        The dataset queried.  Basic graph patterns are ordered by the
+        cardinality-driven planner (:mod:`repro.sparql.plan`) and run on
+        the block kernels (:mod:`repro.sparql.kernels`).
     """
 
-    def __init__(
-        self,
-        store: TripleStore,
-        use_planner: bool = True,
-        use_vectorized: bool = True,
-    ):
+    def __init__(self, store: TripleStore):
         self.store = store
         self._dict = store.dictionary
         # A bound method here would put the evaluator, and through it the
@@ -173,8 +139,6 @@ class QueryEvaluator:
         self._expressions = ExpressionEvaluator(
             exists_callback=lambda group, binding: exists()(group, binding)
         )
-        self._use_planner = use_planner
-        self._use_vectorized = use_vectorized
         self._metrics = obs_metrics.registry()
         self._tracer = obs_trace.recorder()
         # Per-thread execution-mode note (single / fast-count / fold /
@@ -262,18 +226,17 @@ class QueryEvaluator:
         the two paths answers:
 
         * the columnar finish, when :meth:`_columnar_plan` accepts the
-          query and every plan step vectorizes — the kernel blocks,
-          seeded by the VALUES rows and masked by the FILTERs, are
-          projected, deduplicated and paged by :func:`kernels.finish`;
+          query — the kernel blocks, seeded by the VALUES rows and masked
+          by the FILTERs, are projected, deduplicated and paged by
+          :func:`kernels.finish`;
         * otherwise per row: :meth:`_evaluate_group` solutions are
           projected, deduplicated and sliced one at a time, and the rows
           are transposed into columns once at the end.
         """
         variables = self._output_variables(query)
         plan = self._columnar_plan(query)
-        blocks = None if plan is None else kernels.plan_blocks(self, plan)
-        if blocks is not None:
-            return self._finish_columns(query, variables, plan, blocks, offset, limit)
+        if plan is not None:
+            return self._finish_columns(query, variables, plan, offset, limit)
         solutions = self._evaluate_group(query.where, IdBinding.EMPTY)
         if self._plain_projection(query):
             projected: Iterator[tuple] = (
@@ -306,10 +269,9 @@ class QueryEvaluator:
     def _columnar_plan(self, query: SelectQuery) -> Optional[kernels.ColumnarPlan]:
         """The plan of a query the columnar finish may answer, else ``None``.
 
-        Called for unordered, non-aggregate SELECTs, with the planner and
-        kernels on and every projection item a plain variable (or
-        ``SELECT *``).  The WHERE group qualifies when it holds triple
-        patterns plus, optionally:
+        Called for unordered, non-aggregate SELECTs; every projection
+        item must be a plain variable (or ``SELECT *``).  The WHERE group
+        qualifies when it holds triple patterns plus, optionally:
 
         * one VALUES node with no UNDEF whose variables all occur in some
           pattern (its rows seed the plan, as in :meth:`_evaluate_group`);
@@ -319,11 +281,7 @@ class QueryEvaluator:
           the patterns bind.
 
         Anything else returns ``None`` and takes the per-row path.
-        Whether every plan step vectorizes is decided by
-        :func:`kernels.plan_blocks`.
         """
-        if not (self._use_planner and self._use_vectorized):
-            return None
         if not self._plain_projection(query):
             return None
         group = query.where
@@ -388,12 +346,12 @@ class QueryEvaluator:
         query: SelectQuery,
         variables: List[Variable],
         plan: kernels.ColumnarPlan,
-        blocks: Iterator[Tuple],
         offset: int,
         limit: Optional[int],
     ) -> Tuple[List[Variable], List[List[int]], int]:
         """Project, deduplicate and page the kernel blocks in ID columns
         (:func:`kernels.finish`)."""
+        blocks = kernels.plan_blocks(self, plan)
         self._metrics.increment("kernel.vectorized")
         if self._tracer.active:
             span = self._tracer.stream_span("kernel", steps=len(plan.bgp.steps))
@@ -680,19 +638,9 @@ class QueryEvaluator:
             solutions = self._apply_values(solutions, node)
 
         if patterns:
-            if self._use_planner:
-                bound = set(initial)
-                bound |= self._values_bound(values_nodes)
-                plan = self._plan_for(group, patterns, bound, not values_nodes)
-                solutions = self._run_plan(
-                    plan,
-                    solutions,
-                    root_call=not len(initial),
-                    single_input=not values_nodes,
-                )
-            else:
-                for pattern in self._order_by_constants(patterns):
-                    solutions = self._join_pattern(solutions, pattern)
+            bound = set(initial) | self._values_bound(values_nodes)
+            plan = self._plan_for(group, patterns, bound, not values_nodes)
+            solutions = self._run_plan(plan, solutions, root_call=not len(initial))
 
         for element in others:
             if isinstance(element, FilterNode):
@@ -708,60 +656,23 @@ class QueryEvaluator:
         return iter(solutions)
 
     def _run_plan(
-        self,
-        plan: BGPPlan,
-        solutions: Iterable[IdBinding],
-        root_call: bool,
-        single_input: bool,
-    ) -> Iterable[IdBinding]:
-        """Chain one planned BGP's operators onto ``solutions``.
+        self, plan: BGPPlan, solutions: Iterable[IdBinding], root_call: bool
+    ) -> Iterator[IdBinding]:
+        """Run one planned BGP over ``solutions`` on the block kernels.
 
-        Kernel engagement and stage spans are only recorded for root
+        Kernel engagement and the kernel span are only recorded for root
         evaluations (empty input binding): OPTIONAL / EXISTS probes
         re-enter once per solution, where per-call accounting would swamp
         both the registry and the trace tree.
         """
-        tracer = self._tracer
-        trace_steps = root_call and tracer.active
-        vectorized = None
-        if self._use_vectorized and single_input and root_call:
-            # Kernels compute complete solutions from the store alone, so
-            # they only replace the single-empty-input case (the top-level
-            # group); OPTIONAL / EXISTS inner groups carry bindings and
-            # stay scalar.
-            vectorized = kernels.execute(self, plan)
-            if vectorized is not None:
-                self._metrics.increment("kernel.vectorized")
-            else:
-                self._metrics.increment("kernel.fallback.unsupported-step")
-        elif root_call:
-            reason = "disabled" if not self._use_vectorized else "bound-input"
-            self._metrics.increment("kernel.fallback." + reason)
-        if vectorized is not None:
-            if trace_steps:
-                span = tracer.stream_span("kernel", steps=len(plan.steps))
+        rows = kernels.execute(self, plan, solutions)
+        if root_call:
+            self._metrics.increment("kernel.vectorized")
+            if self._tracer.active:
+                span = self._tracer.stream_span("kernel", steps=len(plan.steps))
                 if span is not None:
-                    return obs_trace.count_rows(span, vectorized)
-            return vectorized
-        for step in plan.steps:
-            if step.operator == MERGE:
-                solutions = self._merge_join(
-                    solutions, step.pattern, step.merge_variable
-                )
-            elif step.operator == HASH:
-                solutions = self._hash_join(
-                    solutions, step.pattern, step.join_variables
-                )
-            else:  # scan / nested: per-solution index lookups
-                solutions = self._join_pattern(solutions, step.pattern)
-            if trace_steps:
-                span = tracer.stream_span(
-                    "step:" + step.operator,
-                    pattern=step.describe(),
-                )
-                if span is not None:
-                    solutions = obs_trace.count_rows(span, solutions)
-        return solutions
+                    return obs_trace.count_rows(span, rows)
+        return rows
 
     def _plan_for(
         self,
@@ -818,8 +729,8 @@ class QueryEvaluator:
         A variable with an UNDEF row is only bound in some solutions, so
         the planner must treat it as unbound: claiming it bound would let a
         hash join use it as a probe key and silently drop the solutions
-        where it is missing (per-solution operators handle the mixed case
-        correctly once the pattern owns the variable).
+        where it is missing (the kernels seed each solution with the
+        variables it does bind).
         """
         bound: set = set()
         for node in values_nodes:
@@ -827,136 +738,6 @@ class QueryEvaluator:
                 if all(row[position] is not None for row in node.rows):
                     bound.add(variable)
         return bound
-
-    @staticmethod
-    def _order_by_constants(patterns: List[TriplePatternNode]) -> List[TriplePatternNode]:
-        """The pre-planner ordering: most constant positions first."""
-
-        def constants(pattern: TriplePatternNode) -> int:
-            return sum(
-                0 if isinstance(t, Variable) else 1
-                for t in (pattern.subject, pattern.predicate, pattern.object)
-            )
-
-        return sorted(patterns, key=constants, reverse=True)
-
-    def _join_pattern(
-        self, solutions: Iterable[IdBinding], pattern: TriplePatternNode
-    ) -> Iterator[IdBinding]:
-        for solution in solutions:
-            yield from self._match_pattern(pattern, solution)
-
-    def _match_pattern(
-        self, pattern: TriplePatternNode, solution: IdBinding
-    ) -> Iterator[IdBinding]:
-        def resolve(term):
-            if isinstance(term, Variable):
-                value = solution.get(term)
-                if value is None:
-                    return None  # unbound -> wildcard
-                if type(value) is int:
-                    return value
-                return _MISS  # bound to an out-of-dictionary term
-            tid = self._dict.id_for(term)
-            return tid if tid is not None else _MISS
-
-        subject = resolve(pattern.subject)
-        predicate = resolve(pattern.predicate)
-        obj = resolve(pattern.object)
-        if subject is _MISS or predicate is _MISS or obj is _MISS:
-            return
-
-        for sid, pid, oid in self.store.match_ids(subject, predicate, obj):
-            extended: Optional[IdBinding] = solution
-            for position, value in (
-                (pattern.subject, sid),
-                (pattern.predicate, pid),
-                (pattern.object, oid),
-            ):
-                if isinstance(position, Variable):
-                    extended = extended.extend(position, value)  # type: ignore[union-attr]
-                    if extended is None:
-                        break
-            if extended is not None:
-                yield extended
-
-    def _merge_join(
-        self,
-        solutions: Iterable[IdBinding],
-        pattern: TriplePatternNode,
-        variable: Variable,
-    ) -> Iterator[IdBinding]:
-        """Sort-merge semi-join against a two-constant pattern's sorted run.
-
-        Precondition (guaranteed by the planner): the solution stream is
-        nondecreasing on ``variable``, and ``pattern`` has exactly two
-        constant positions with ``variable`` in the third.  The pattern
-        binds no new variables, so matching solutions pass through
-        unchanged; both sides are walked once.
-        """
-        consts = self._resolve_constants(pattern)
-        if consts is None:
-            return
-        run = iter(self.store.sorted_run_ids(*consts))
-        current = next(run, None)
-        if current is None:
-            return
-        for solution in solutions:
-            value = solution.get(variable)
-            if type(value) is not int:
-                continue  # out-of-dictionary term can never match
-            while current is not None and current < value:
-                current = next(run, None)
-            if current is None:
-                break  # left keys only grow; nothing further can match
-            if current == value:
-                yield solution
-
-    def _hash_join(
-        self,
-        solutions: Iterable[IdBinding],
-        pattern: TriplePatternNode,
-        join_variables: Tuple[Variable, ...],
-    ) -> Iterator[IdBinding]:
-        """Hash join: build on the pattern side once, probe per solution.
-
-        The build side is the pattern's full match set keyed on the shared
-        variables (the planner picks this operator only when that side is
-        the smaller one, or when there are no shared variables and
-        rescanning per solution would be worse).  Building happens lazily
-        on the first streamed solution, so an empty left side costs
-        nothing.
-        """
-        table: Optional[dict] = None
-        for solution in solutions:
-            if table is None:
-                table = self._build_join_table(pattern, join_variables)
-                if not table:
-                    return
-            if join_variables:
-                key = []
-                valid = True
-                for variable in join_variables:
-                    value = solution.get(variable)
-                    if type(value) is not int:
-                        valid = False  # out-of-dictionary term: no match
-                        break
-                    key.append(value)
-                if not valid:
-                    continue
-                bucket = table.get(tuple(key))
-            else:
-                bucket = table.get(())
-            if not bucket:
-                continue
-            for assignment in bucket:
-                extended: Optional[IdBinding] = solution
-                for variable, value in assignment:
-                    extended = extended.extend(variable, value)  # type: ignore[union-attr]
-                    if extended is None:
-                        break
-                if extended is not None:
-                    yield extended
 
     def _resolve_constants(
         self, pattern: TriplePatternNode
@@ -967,35 +748,6 @@ class QueryEvaluator:
         pattern provably matches nothing.
         """
         return resolve_pattern_ids(self._dict, pattern)
-
-    def _build_join_table(
-        self, pattern: TriplePatternNode, join_variables: Tuple[Variable, ...]
-    ) -> dict:
-        """Scan ``pattern`` once into ``join-key -> [variable assignments]``."""
-        consts = self._resolve_constants(pattern)
-        if consts is None:
-            return {}
-        positions = (pattern.subject, pattern.predicate, pattern.object)
-        table: dict = {}
-        for ids in self.store.match_ids(*consts):
-            assignment: dict = {}
-            consistent = True
-            for term, value in zip(positions, ids):
-                if isinstance(term, Variable):
-                    previous = assignment.get(term)
-                    if previous is None:
-                        assignment[term] = value
-                    elif previous != value:
-                        consistent = False  # repeated variable, unequal values
-                        break
-            if not consistent:
-                continue
-            key = tuple(assignment[v] for v in join_variables)
-            bucket = table.get(key)
-            if bucket is None:
-                bucket = table[key] = []
-            bucket.append(tuple(assignment.items()))
-        return table
 
     def _apply_filter(
         self, solutions: Iterable[IdBinding], node: FilterNode

@@ -1,80 +1,86 @@
 """Vectorized block join kernels over the store's CSR ID columns.
 
-The scalar evaluator (:mod:`repro.sparql.evaluate`) streams one
-:class:`~repro.sparql.bindings.IdBinding` at a time through per-row index
-probes.  At paper scale (~14k triples) that is fine; at the 1M–10M-triple
-worlds the scale presets build, the per-row Python dominates end-to-end
-latency.  This module replaces the hot inner loops with numpy block
-operations over the very same CSR columns the indexes already keep:
+These kernels are the one executor of planned basic graph patterns,
+whoever asks: the top-level group of a query, VALUES-seeded lookups and
+the groups that arrive with bindings (OPTIONAL, UNION and subgroup
+re-entry, per-row FILTER EXISTS, shipped-join anchors seeded with
+broadcast keys).  Every operator is a numpy block operation over the
+same CSR columns the indexes already keep:
 
-* **Scan** — a pattern's whole match set materialises as parallel int64
-  columns straight off the index (``sorted_run_ids`` for two-constant
-  patterns, :meth:`~repro.store.index.PermutationIndex.key_columns` for
+* **Scan / cross** — a pattern's whole match set materialises as
+  parallel int64 columns straight off the index (``sorted_run_ids`` for
+  two-constant patterns,
+  :meth:`~repro.store.index.PermutationIndex.key_columns` for
   one-constant, :meth:`~repro.store.index.PermutationIndex.rows` for
-  zero-constant), then streams out in bounded blocks.
+  zero-constant) and crosses the left rows in ``repeat``/``tile``
+  chunks; the top-level group's one empty seed row makes that the plain
+  scan.  Disconnected patterns cross the same way.
+* **Lookup** — one index call per left row for the pattern positions it
+  binds, the matches gathered with ``repeat`` (:func:`_lookup_blocks`):
+  a first step the seeds bind, ``nested`` steps, and joins on two or
+  more shared variables.
 * **Merge** — the sort-merge semi-join becomes one ``np.searchsorted``
   probe of the block's join column against the pattern's sorted run.
-* **Probe** — hash joins on a single shared variable (and ``nested``
-  steps cheap enough to build) become a sorted-build + ``searchsorted``
-  range expansion: the classic ``repeat``/``cumsum`` gather that emits
-  every (left row, build row) match pair without a Python loop.
-* **Cartesian** — disconnected patterns cross in ``repeat``/``tile``
-  chunks.
+* **Probe** — a join on one shared variable (``hash`` steps, and
+  ``nested`` steps cheap enough to build) sorts the built table once and
+  expands every (left row, build row) match pair with the
+  ``repeat``/``cumsum`` gather, with no Python loop.
 
-Everything stays *streaming at block granularity*: blocks are produced
-lazily, so ASK stops after the first emitted row and LIMIT after the
-first full page, paying at most one block (:data:`BLOCK_ROWS` rows) of
-slack.  Kernels preserve the left stream's row order, so a scalar
-``merge`` operator running after the vectorized prefix still sees the
-nondecreasing stream the planner promised it.  Results are multiset-
-identical to the scalar operators — the differential harnesses pin this
-across warm, cold-mmap and sharded stores.
+A pattern that repeats a variable (``?x <p> ?x``) keeps the rows whose
+repeated positions agree, with one column per variable.
 
-How the blocks leave the kernels depends on the query:
+**Seeds.**  The incoming solutions become seed blocks
+(:func:`_seed_blocks`): one ID column per BGP variable they bind, plus
+an origin column of row indexes when some solution binds a variable the
+BGP never uses.  A solution binding a BGP variable to a term outside the
+dictionary matches nothing and is dropped.
 
-* **Columnar finish** (:func:`plan_blocks` + :func:`finish`) — when every
-  plan step vectorizes and the evaluator asks for it (an unordered,
-  non-aggregate SELECT projecting ``*`` or plain variables over triple
-  patterns, at most one VALUES node and ``=`` / ``!=`` / ``[NOT]
-  EXISTS`` FILTERs; see :class:`ColumnarPlan`), projection, DISTINCT and
-  OFFSET/LIMIT run on the ID columns and only the page's rows come out,
-  as one list of IDs per projected variable — the columns the evaluator
-  decodes and the result set keeps.  Two more block operators serve it:
+How the blocks leave depends on the caller:
 
-  * **Seed + lookup** — the VALUES rows become the first block, and the
-    plan's ``scan`` makes one index call per seed row, gathering the
-    matches with ``repeat`` (:func:`_lookup_blocks`).
-  * **Masks** — each FILTER becomes a boolean mask applied to every
-    block before the finish counts it: an ID comparison (literal pairs
-    go through the scalar FILTER) or one ``contains_ids`` probe per row.
+* **Columnar finish** (:func:`plan_blocks` + :func:`finish`) — for an
+  unordered, non-aggregate SELECT projecting ``*`` or plain variables
+  over triple patterns, at most one VALUES node and ``=`` / ``!=`` /
+  ``[NOT] EXISTS`` FILTERs (see :class:`ColumnarPlan`), projection,
+  DISTINCT and OFFSET/LIMIT run on the ID columns and only the page's
+  rows come out, as one list of IDs per projected variable — the columns
+  the evaluator decodes and the result set keeps.  The VALUES rows are
+  the seed block, and each FILTER becomes a boolean mask applied to
+  every block before the finish counts it: an ID comparison (literal
+  pairs go through the scalar FILTER) or one ``contains_ids`` probe per
+  row.
+* **Per-row emit** (:func:`execute`) — every other caller reads
+  :class:`IdBinding` rows.  Each row extends the solution it grew from,
+  so UNDEF, out-of-dictionary values and variables the BGP never uses
+  pass through unchanged.
 
-* **Per-row emit** (:func:`execute`) — otherwise the blocks become
-  :class:`IdBinding` rows, and any steps past the vectorizable prefix run
-  through the evaluator's scalar operators.
+Both orders are the order of the per-row reference operators the tests
+keep (``tests/reference_engine.py``): seed order, blocks in stream order,
+rows in block order, DISTINCT keeping first occurrences, and each left
+row's matches in the order the index visits them — a lookup makes the
+per-row operator's own index call, and a built table keeps its scan
+order within one key, as the per-row hash join's buckets do.  That holds because every index iterates keys, seconds and thirds in
+ascending ID order, with or without pending overlay entries.  The pinned
+Table 1 relies on it.
 
-Both orders are the same: blocks in stream order, rows in block order,
-DISTINCT keeping first occurrences, and each seed row's matches in index
-order, just as the per-row operators visit them.  That holds because
-every index iterates keys, seconds and thirds in ascending ID order, with
-or without pending overlay entries.  The pinned Table 1 relies on it.
+Everything streams at block granularity: blocks are produced lazily, so
+ASK stops after the first emitted row and LIMIT after the first full
+page, paying at most one block (:data:`BLOCK_ROWS` rows) of slack.
 
 The kernels run on any store: the index columns are ``memoryview``
 windows (over numpy arrays, bytes or an mmap) or merged runs, and sharded
 stores concatenate per-shard columns (subject-range partitioning keeps
-concatenated subject runs sorted).  Evaluators built with
-``use_vectorized=False`` skip them and keep the per-row operators.
+concatenated subject runs sorted).
 """
-
 from __future__ import annotations
 
 from itertools import chain, repeat, starmap
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as _np
 
 from repro.sparql.ast import FilterNode, TriplePatternNode, ValuesNode
 from repro.sparql.bindings import Binding, IdBinding, Variable
-from repro.sparql.plan import HASH, MERGE, NESTED, SCAN, BGPPlan, PlanStep
+from repro.sparql.plan import HASH, MERGE, NESTED, BGPPlan, PlanStep
 from repro.store.dictionary import KIND_LITERAL
 
 #: Rows per emitted block: large enough to amortise per-block Python,
@@ -85,7 +91,7 @@ BLOCK_ROWS = 4096
 #: pattern's standalone build estimate stays within this factor of the
 #: incoming stream's estimated cardinality (plus a flat allowance) —
 #: building a huge table to probe it with a handful of rows would trade
-#: the scalar path's selectivity away.
+#: the per-row lookup's selectivity away.
 NESTED_BUILD_FACTOR = 16.0
 NESTED_BUILD_MIN = 4096.0
 
@@ -249,17 +255,12 @@ def _pattern_variables(pattern: TriplePatternNode) -> Tuple[Variable, ...]:
 # --------------------------------------------------------------------- #
 # A block is ``(vars, cols, n)``: ``cols[i]`` is the int64 column of
 # ``vars[i]`` and every column has ``n`` rows.  ``vars`` may be empty
-# (fully-constant patterns) with ``n`` still carrying the multiplicity.
+# (fully-constant patterns, the top-level group's empty seed row) with
+# ``n`` still carrying the multiplicity.
 
-
-def _scan_blocks(store, pattern, consts) -> Iterator[Tuple]:
-    variables = _pattern_variables(pattern)
-    n, cols = _pattern_columns(store, consts)
-    if not n:
-        return
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(n, start + BLOCK_ROWS)
-        yield variables, [col[start:stop] for col in cols], stop - start
+#: The block column of seed-row indexes: each row's position in the
+#: incoming solutions it extends (see :func:`execute`).
+ORIGIN = object()
 
 
 def _seed_block(dictionary, values: ValuesNode) -> Tuple:
@@ -277,6 +278,62 @@ def _seed_block(dictionary, values: ValuesNode) -> Tuple:
     return values.variables, [table[:, slot] for slot in range(width)], n
 
 
+def _seed_blocks(solutions: List[IdBinding], variables, carry: bool) -> Iterator[Tuple]:
+    """The incoming solutions as seed blocks, in order.
+
+    Each block holds one ID column per BGP variable (of ``variables``)
+    its rows bind, plus the :data:`ORIGIN` column when ``carry`` is set.
+    Consecutive solutions binding the same BGP variables share a block of
+    at most :data:`BLOCK_ROWS` rows.  A solution binding a BGP variable
+    to a term outside the dictionary matches no pattern and is dropped.
+    """
+    run: Optional[Tuple] = None
+    rows: List[List] = []
+    for index, solution in enumerate(solutions):
+        bound = tuple(v for v in variables if solution.get(v) is not None)
+        values = [solution.get(v) for v in bound]
+        if any(type(value) is not int for value in values):
+            continue
+        if bound != run or len(rows) == BLOCK_ROWS:
+            if rows:
+                yield _rows_block(run, rows, carry)
+            run, rows = bound, []
+        if carry:
+            values.append(index)
+        rows.append(values)
+    if rows:
+        yield _rows_block(run, rows, carry)
+
+
+def _rows_block(variables, rows: List[List], carry: bool) -> Tuple:
+    names = variables + (ORIGIN,) if carry else variables
+    n = len(rows)
+    if not names:
+        return (), [], n
+    table = _np.array(rows, dtype=_np.int64).reshape(n, len(names))
+    return names, [table[:, slot] for slot in range(len(names))], n
+
+
+def _fold_repeats(variables, cols, n) -> Tuple:
+    """Keep the rows whose columns for one repeated variable agree, with
+    one column per variable (``?x <p> ?x`` binds ``?x`` once)."""
+    distinct = tuple(dict.fromkeys(variables))
+    if len(distinct) == len(variables):
+        return variables, cols, n
+    first = {}
+    keep = _np.ones(n, dtype=bool)
+    for slot, variable in enumerate(variables):
+        if variable in first:
+            keep &= cols[first[variable]] == cols[slot]
+        else:
+            first[variable] = slot
+    return (
+        distinct,
+        [cols[first[variable]][keep] for variable in distinct],
+        int(_np.count_nonzero(keep)),
+    )
+
+
 def _lookup_blocks(store, seed, pattern, consts) -> Iterator[Tuple]:
     """Index nested-loop join of a seed block against ``pattern``.
 
@@ -287,7 +344,7 @@ def _lookup_blocks(store, seed, pattern, consts) -> Iterator[Tuple]:
     one fixed position, ``contains_ids`` with three), row by row.  The
     matches are gathered with ``repeat``, with no Python per output row.
     Seed row order is kept and each row's matches come in index order,
-    exactly as the per-row ``scan`` lists them.  Blocks are cut once they
+    exactly as one ``match_ids`` call per row lists them.  Blocks are cut once they
     reach :data:`BLOCK_ROWS` rows.
     """
     seed_vars, seed_cols, n = seed
@@ -327,7 +384,9 @@ def _lookup_blocks(store, seed, pattern, consts) -> Iterator[Tuple]:
         if pending and (pending >= BLOCK_ROWS or row == n - 1):
             out = _repeat_seed(seed_cols, counts, start, row + 1)
             out.extend(_np.concatenate(part) for part in parts)
-            yield variables, out, pending
+            block = _fold_repeats(variables, out, pending)
+            if block[2]:
+                yield block
             start, pending = row + 1, 0
             parts = [[] for _ in new_vars]
 
@@ -443,18 +502,28 @@ def _merge_blocks(blocks, run, variable) -> Iterator[Tuple]:
             yield variables, [col[hits] for col in cols], kept
 
 
-def _probe_blocks(blocks, build_vars, build_cols, join_variable) -> Iterator[Tuple]:
-    """Join each block against a built pattern table on one shared variable.
-
-    The build side is sorted by its join column once; every block then
-    probes with two ``searchsorted`` calls and expands the matching ranges
-    with the ``repeat``/``cumsum`` gather.  Left row order is preserved.
-    """
+def _sorted_build(build, join_variable) -> Tuple:
+    """A built table sorted (stably) by its ``join_variable`` column:
+    ``(sorted keys, other variables, their columns)``."""
+    build_vars, build_cols, _ = build
     slot = build_vars.index(join_variable)
     order = _np.argsort(build_cols[slot], kind="stable")
-    sorted_keys = build_cols[slot][order]
-    new_vars = tuple(v for i, v in enumerate(build_vars) if i != slot)
-    new_cols = [build_cols[i][order] for i, v in enumerate(build_vars) if i != slot]
+    return (
+        build_cols[slot][order],
+        tuple(v for i, v in enumerate(build_vars) if i != slot),
+        [col[order] for i, col in enumerate(build_cols) if i != slot],
+    )
+
+
+def _probe_blocks(blocks, build, join_variable) -> Iterator[Tuple]:
+    """Join each block against a :func:`_sorted_build` table on one shared
+    variable.
+
+    Every block probes with two ``searchsorted`` calls and expands the
+    matching ranges with the ``repeat``/``cumsum`` gather.  Left row order
+    is preserved, and each row's matches keep the table's scan order.
+    """
+    sorted_keys, new_vars, new_cols = build
     for variables, cols, n in blocks:
         probe = cols[variables.index(join_variable)]
         left = _np.searchsorted(sorted_keys, probe, side="left")
@@ -471,13 +540,24 @@ def _probe_blocks(blocks, build_vars, build_cols, join_variable) -> Iterator[Tup
         yield variables + new_vars, out, total
 
 
-def _cross_blocks(blocks, build_vars, build_cols, build_n) -> Iterator[Tuple]:
-    """Cartesian-product each block with a built pattern table, chunked so
-    no emitted block exceeds ~:data:`BLOCK_ROWS` rows."""
+def _cross_blocks(blocks, build) -> Iterator[Tuple]:
+    """Cartesian-product each block with a built table, chunked so no
+    emitted block exceeds ~:data:`BLOCK_ROWS` rows.  One left row, or a
+    table that large, meets the table in slices, a left row at a time:
+    the top-level group's empty seed row streams the bare scan."""
+    build_vars, build_cols, build_n = build
     if not build_n:
         return
-    left_chunk = max(1, BLOCK_ROWS // build_n)
+    left_chunk = BLOCK_ROWS // build_n
     for variables, cols, n in blocks:
+        if n == 1 or not left_chunk:
+            for row in range(n):
+                for start in range(0, build_n, BLOCK_ROWS):
+                    stop = min(build_n, start + BLOCK_ROWS)
+                    out = [_np.full(stop - start, col[row]) for col in cols]
+                    out.extend(col[start:stop] for col in build_cols)
+                    yield variables + build_vars, out, stop - start
+            continue
         for start in range(0, n, left_chunk):
             stop = min(n, start + left_chunk)
             span = stop - start
@@ -488,96 +568,151 @@ def _cross_blocks(blocks, build_vars, build_cols, build_n) -> Iterator[Tuple]:
             yield variables + build_vars, out, span * build_n
 
 
-def _emit(blocks) -> Iterator[IdBinding]:
-    """Stream blocks out as :class:`IdBinding` rows (plain-int values)."""
+def _emit(blocks, origins: Optional[List[IdBinding]]) -> Iterator[IdBinding]:
+    """Stream blocks out as :class:`IdBinding` rows (plain-int values).
+
+    With ``origins``, each row extends the incoming solution its
+    :data:`ORIGIN` column names.  The two never disagree: the block binds
+    only the BGP variables that solution bound to IDs (same values) and
+    ones it left unbound, so the extension is a plain union and every
+    variable the BGP never uses (or holds as UNDEF) passes through.
+    """
     for variables, cols, n in blocks:
-        if not variables:
+        columns = [col.tolist() for col in cols]
+        if origins is not None:
+            slot = variables.index(ORIGIN)
+            sources = columns.pop(slot)
+            names = variables[:slot] + variables[slot + 1 :]
+            values = zip(*columns) if columns else repeat((), n)
+            for index, row in zip(sources, values):
+                data = dict(origins[index].items())
+                data.update(zip(names, row))
+                yield IdBinding(data)
+        elif not variables:
             for _ in range(n):
                 yield IdBinding.EMPTY
-            continue
-        columns = [col.tolist() for col in cols]
-        for values in zip(*columns):
-            yield IdBinding(dict(zip(variables, values)))
+        else:
+            for row in zip(*columns):
+                yield IdBinding(dict(zip(variables, row)))
 
 
 # --------------------------------------------------------------------- #
 # Plan execution
 # --------------------------------------------------------------------- #
-def _vectorizable_prefix(steps: Tuple[PlanStep, ...]) -> int:
-    """How many leading plan steps the block kernels can run.
+def _probe_pays(step: PlanStep, previous: PlanStep, consts) -> bool:
+    """Whether a ``nested`` step probes a built table instead of looking
+    up every left row.
 
-    A step qualifies structurally: no repeated variables inside the
-    pattern (the columns carry no within-row equality check), and the
-    operator must map onto a kernel — ``merge`` always does, ``hash``
-    needs at most one join variable, ``nested`` exactly one plus a build
-    side the estimates call affordable.  Suffix steps run through the
-    scalar operators unchanged.
+    The pattern's standalone build must stay affordable next to the left
+    stream's estimate.  A constant-free ``?s ?p ?o`` joined on ``?p``
+    always looks up: its scan lists a predicate's matches by subject, the
+    per-row lookup (the POS index) by object.
     """
-    prefix = 0
-    for index, step in enumerate(steps):
-        variables = _pattern_variables(step.pattern)
-        if len(set(variables)) != len(variables):
-            break
-        if index == 0:
-            if step.operator != SCAN:
-                break
-            prefix = 1
-            continue
-        if step.operator == MERGE:
-            prefix = index + 1
-            continue
-        if step.operator == HASH:
-            if len(step.join_variables) > 1:
-                break
-            prefix = index + 1
-            continue
-        if step.operator == NESTED:
-            if len(step.join_variables) != 1:
-                break
-            allowance = (
-                NESTED_BUILD_FACTOR * steps[index - 1].estimate + NESTED_BUILD_MIN
-            )
-            if step.build_estimate > allowance:
-                break
-            prefix = index + 1
-            continue
-        break
-    return prefix
+    if len(step.join_variables) != 1:
+        return False
+    if step.build_estimate > NESTED_BUILD_FACTOR * previous.estimate + NESTED_BUILD_MIN:
+        return False
+    pattern = step.pattern
+    return not (
+        consts == [None, None, None]
+        and len(set(_pattern_variables(pattern))) == 3
+        and pattern.predicate == step.join_variables[0]
+    )
 
 
-def execute(evaluator, plan: BGPPlan) -> Optional[Iterator[IdBinding]]:
-    """Run ``plan`` with block kernels where possible.
+def _join(store, blocks, step: PlanStep, consts, probe: bool) -> Iterator[Tuple]:
+    """Join every block with ``step``'s pattern.
 
-    Returns a lazy :class:`IdBinding` iterator covering the *whole* plan —
-    the vectorized prefix feeds any remaining steps through the
-    evaluator's scalar operators — or ``None`` when not even the first
-    scan vectorizes (the caller keeps its scalar pipeline).  Only called
-    for single-input groups (empty initial binding, no VALUES): kernels
-    compute complete solutions from the store alone.  VALUES-seeded
-    groups finish in columns through :func:`plan_blocks` instead, or run
-    per row.
+    Per block, on the pattern variables the block already binds: none —
+    cross with the pattern's table; one — probe the table for a ``hash``
+    step (or a ``nested`` one when ``probe``), else look each row up; two
+    or more — look each row up.  ``merge`` semi-joins the pattern's
+    sorted run.  Each left row's matches come in the per-row operators'
+    order: a lookup makes the same index call, and a table keeps its scan
+    order within one key.  The table is built on the first block that
+    needs it.
     """
-    steps = plan.steps
-    prefix = _vectorizable_prefix(steps)
-    if not prefix:
-        return None
-    return _execute(evaluator, steps, prefix)
+    if step.operator == MERGE:
+        yield from _merge_blocks(blocks, _pattern_run(store, consts), step.merge_variable)
+        return
+    variables = tuple(dict.fromkeys(_pattern_variables(step.pattern)))
+    table = None
+    probes: dict = {}
+    for block in blocks:
+        shared = [v for v in variables if v in block[0]]
+        if len(shared) > 1 or (shared and not (probe or step.operator == HASH)):
+            yield from _lookup_blocks(store, block, step.pattern, consts)
+            continue
+        if table is None:
+            # The pattern's whole match set, in index order.
+            n, cols = _pattern_columns(store, consts)
+            table = _fold_repeats(_pattern_variables(step.pattern), cols, n)
+            if not table[2]:
+                return
+        if not shared:
+            yield from _cross_blocks((block,), table)
+            continue
+        variable = shared[0]
+        if variable not in probes:
+            probes[variable] = _sorted_build(table, variable)
+        yield from _probe_blocks((block,), probes[variable], variable)
 
 
-def plan_blocks(evaluator, plan: ColumnarPlan) -> Optional[Iterator[Tuple]]:
-    """The plan's lazy block stream, or ``None`` unless every step vectorizes.
+def _blocks(evaluator, steps, seeds) -> Iterator[Tuple]:
+    """The block stream of ``steps`` over the ``seeds`` blocks."""
+    store = evaluator.store
+    blocks = seeds
+    previous = None
+    for step in steps:
+        consts = evaluator._resolve_constants(step.pattern)
+        if consts is None:
+            return  # a constant the dictionary never saw: provably empty
+        probe = step.operator == NESTED and _probe_pays(step, previous, consts)
+        blocks = _join(store, blocks, step, consts, probe)
+        previous = step
+    yield from blocks
 
-    For callers that finish the query in ID columns (:func:`finish`).
-    Without a VALUES node these are the blocks :func:`execute` emits as
-    rows (same single-input contract).  With one, its rows are the first
-    block and the plan's ``scan`` looks each of them up
-    (:func:`_lookup_blocks`).  The FILTER masks then drop rows from every
+
+def execute(
+    evaluator, plan: BGPPlan, solutions: Iterable[IdBinding]
+) -> Iterator[IdBinding]:
+    """Run ``plan`` over the incoming ``solutions``, one row at a time.
+
+    The per-row callers' view of the block stream: the top-level group
+    (one empty solution), VALUES-fed groups the columnar finish does not
+    take, and every re-entry with bindings (OPTIONAL, UNION, subgroups,
+    per-row FILTER EXISTS, seeded ship anchors).  The solutions enter as
+    :func:`_seed_blocks`; the :data:`ORIGIN` column rides along only when
+    some solution binds a variable the BGP never uses, and each emitted
+    row then extends its origin solution (:func:`_emit`).
+    """
+    solutions = list(solutions)
+    names = set().union(*solutions)
+    if names:
+        variables = {v for step in plan.steps for v in _pattern_variables(step.pattern)}
+        carry = not names <= variables
+        bound = tuple(v for v in dict.fromkeys(chain.from_iterable(solutions)) if v in variables)
+        seeds = _seed_blocks(solutions, bound, carry)
+    else:
+        # Solutions that bind nothing are one block of empty rows.
+        carry, seeds = False, iter([((), [], len(solutions))] if solutions else [])
+    yield from _emit(_blocks(evaluator, plan.steps, seeds), solutions if carry else None)
+
+
+def plan_blocks(evaluator, plan: ColumnarPlan) -> Iterator[Tuple]:
+    """The plan's lazy block stream, for callers that finish the query in
+    ID columns (:func:`finish`).
+
+    The seed is one empty row, or the VALUES node's rows as one block
+    (:func:`_seed_block`).  The FILTER masks then drop rows from every
     block, so the finish counts only the rows that survive.
     """
-    steps = plan.bgp.steps
-    if _vectorizable_prefix(steps) != len(steps):
-        return None
-    blocks = _blocks(evaluator, steps, plan.values)
+    if plan.values is None:
+        seeds = [((), [], 1)]
+    else:
+        seed = _seed_block(evaluator.store.dictionary, plan.values)
+        seeds = [seed] if seed[2] else []
+    blocks = _blocks(evaluator, plan.bgp.steps, iter(seeds))
     if plan.masks:
         masks = [
             _compare_mask(evaluator, spec)
@@ -587,58 +722,6 @@ def plan_blocks(evaluator, plan: ColumnarPlan) -> Optional[Iterator[Tuple]]:
         ]
         blocks = _mask_blocks(blocks, masks)
     return blocks
-
-
-def _blocks(evaluator, steps, values: Optional[ValuesNode] = None) -> Iterator[Tuple]:
-    """Blocks of the vectorized ``steps`` (all of them kernel-runnable),
-    seeded by ``values`` when given."""
-    store = evaluator.store
-    consts = evaluator._resolve_constants(steps[0].pattern)
-    if consts is None:
-        return  # a constant the dictionary never saw: provably empty
-    if values is None:
-        blocks = _scan_blocks(store, steps[0].pattern, consts)
-    else:
-        seed = _seed_block(store.dictionary, values)
-        blocks = _lookup_blocks(store, seed, steps[0].pattern, consts)
-    for step in steps[1:]:
-        consts = evaluator._resolve_constants(step.pattern)
-        if consts is None:
-            return
-        if step.operator == MERGE:
-            blocks = _merge_blocks(blocks, _pattern_run(store, consts), step.merge_variable)
-        elif step.join_variables:
-            build_n, build_cols = _pattern_columns(store, consts)
-            if not build_n:
-                return
-            blocks = _probe_blocks(
-                blocks,
-                _pattern_variables(step.pattern),
-                build_cols,
-                step.join_variables[0],
-            )
-        else:
-            build_n, build_cols = _pattern_columns(store, consts)
-            blocks = _cross_blocks(
-                blocks, _pattern_variables(step.pattern), build_cols, build_n
-            )
-    yield from blocks
-
-
-def _execute(evaluator, steps, prefix) -> Iterator[IdBinding]:
-    solutions: Iterator[IdBinding] = _emit(_blocks(evaluator, steps[:prefix]))
-    for step in steps[prefix:]:
-        if step.operator == MERGE:
-            solutions = evaluator._merge_join(
-                solutions, step.pattern, step.merge_variable
-            )
-        elif step.operator == HASH:
-            solutions = evaluator._hash_join(
-                solutions, step.pattern, step.join_variables
-            )
-        else:
-            solutions = evaluator._join_pattern(solutions, step.pattern)
-    yield from solutions
 
 
 # --------------------------------------------------------------------- #

@@ -356,11 +356,10 @@ class ShardedQueryEvaluator(QueryEvaluator):
     Parameters
     ----------
     store:
-        The sharded dataset.
-    use_planner:
-        Forwarded to the per-shard and merged-view evaluators of the
-        thread backend.  The process backend's workers always plan, so it
-        rejects ``False`` (``ValueError``).
+        The sharded dataset.  Every shard-local, worker and merged-view
+        evaluation plans its groups and runs them on the block kernels
+        (:mod:`repro.sparql.kernels`); per-shard columns concatenate on
+        the global path.
     backend:
         ``"thread"`` (default) evaluates scattered groups in-process
         against per-shard local evaluators, lazily chained — waves get
@@ -375,22 +374,13 @@ class ShardedQueryEvaluator(QueryEvaluator):
         snapshot of ``store`` (see
         :meth:`~repro.shard.sharded_store.ShardedTripleStore.serve`).
         Required — and only meaningful — when ``backend="process"``.
-    use_vectorized:
-        Forwarded to the per-shard and merged-view evaluators of the
-        thread backend: the block join kernels run both on the
-        global-gather path (per-shard columns concatenate) and inside each
-        shard-local evaluator.  The process backend's workers always run
-        the kernels, so it rejects ``False`` (``ValueError``); the thread
-        backend stays the per-row reference.
     """
 
     def __init__(
         self,
         store: ShardedTripleStore,
-        use_planner: bool = True,
         backend: str = "thread",
         executor=None,
-        use_vectorized: bool = True,
     ):
         if not isinstance(store, ShardedTripleStore):
             raise TypeError(
@@ -400,12 +390,6 @@ class ShardedQueryEvaluator(QueryEvaluator):
         if backend not in ("thread", "process"):
             raise ValueError(f"backend must be 'thread' or 'process', got {backend!r}")
         if backend == "process":
-            if not (use_planner and use_vectorized):
-                raise ValueError(
-                    "backend='process' workers always run the planner and "
-                    "the block kernels; use backend='thread' with "
-                    "use_planner=False or use_vectorized=False"
-                )
             if executor is None:
                 raise ValueError(
                     "backend='process' requires a ProcessShardExecutor "
@@ -434,14 +418,11 @@ class ShardedQueryEvaluator(QueryEvaluator):
                     "ShardedTripleStore was mutated after its snapshot "
                     "was written; call serve() again to refresh it"
                 )
-        super().__init__(store, use_planner=use_planner, use_vectorized=use_vectorized)
+        super().__init__(store)
         self.backend = backend
         self._executor = executor
         self._router = ShardRouter(store)
-        self._locals = tuple(
-            QueryEvaluator(shard, use_planner=use_planner, use_vectorized=use_vectorized)
-            for shard in store.shards
-        )
+        self._locals = tuple(QueryEvaluator(shard) for shard in store.shards)
         self._scatter_cache: Dict[GroupGraphPattern, object] = {}
         self._ship_cache: Dict[GroupGraphPattern, Tuple] = {}
         # Endpoints share one evaluator across wave threads, so the

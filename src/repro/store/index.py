@@ -27,8 +27,8 @@ a share of the base, and before every save
 Three instances with different orderings (SPO, POS, OSP) give the store
 constant-time dispatch for every pattern shape.  Every iterator walks keys
 ascending, seconds ascending per key and thirds ascending per group, on
-every store and after any sequence of mutations: the block kernels and the
-per-row operators rely on that order.
+every store and after any sequence of mutations: the block kernels' row
+order relies on it.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from repro.rdf.triple import Triple
 from repro.sparql import kernels
 from repro.sparql.evaluate import QueryEvaluator
 from repro.store.triplestore import TripleStore
+from tests.reference_engine import per_row_evaluator
 
 EX = Namespace("http://diffcol.test/")
 NS = "http://diffcol.test/"
@@ -218,7 +219,7 @@ def _assert_same_rows(stores, query, engaged):
         actual = evaluator.evaluate(query)
         assert actual.variables == expected.variables, label
         assert actual.rows == expected.rows, (label, query)
-        scalar = QueryEvaluator(store, use_vectorized=False).evaluate(query)
+        scalar = per_row_evaluator(store).evaluate(query)
         assert actual.rows == scalar.rows, (label, query)
         assert _columnar_finishes(evaluator, query) is engaged, (label, query)
 
@@ -304,8 +305,8 @@ def test_random_values_blocks_match_per_row(stores, rows, both, predicate, disti
 # --------------------------------------------------------------------- #
 # Warm index order
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("vectorized", [False, None], ids=["per-row", "columnar"])
-def test_warm_and_cold_stream_in_id_order(tmp_path, vectorized):
+@pytest.mark.parametrize("per_row", [True, False], ids=["per-row", "columnar"])
+def test_warm_and_cold_stream_in_id_order(tmp_path, per_row):
     """Interned ``oZ`` before ``oA`` but inserted ``(p, oA)`` first: the
     warm POS key must still stream ``oZ`` first, like the cold CSR."""
     warm = TripleStore()
@@ -316,7 +317,8 @@ def test_warm_and_cold_stream_in_id_order(tmp_path, vectorized):
     cold = TripleStore.open(tmp_path / "store.snap")
     query = f"SELECT ?s ?o WHERE {{ ?s <{NS}p> ?o }} LIMIT 1"
     for store in (warm, cold):
-        rows = QueryEvaluator(store, use_vectorized=vectorized).evaluate(query).rows
+        evaluator = per_row_evaluator(store) if per_row else QueryEvaluator(store)
+        rows = evaluator.evaluate(query).rows
         assert [(row.get_term(_var("s")), row.get_term(_var("o"))) for row in rows] == [
             (EX.s3, EX.oZ)
         ]

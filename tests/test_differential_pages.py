@@ -14,8 +14,9 @@ stores.  The cases cover offset 0, offsets at every shard boundary and
 never binds, a constant missing from the dictionary, and shapes the page
 step must decline (repeated variable, DISTINCT).
 
-Every thread-backend setup also runs with ``use_vectorized=False``
-(labels ending ``-per-row``), so the per-row path answers the same cases.
+Every thread-backend setup also runs on the per-row reference operators
+(:mod:`tests.reference_engine`, labels ending ``-per-row``), so they
+answer the same cases.
 """
 
 import multiprocessing
@@ -39,6 +40,7 @@ from repro.sparql.ast import (
 from repro.sparql.bindings import Variable
 from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.scatter import ShardedQueryEvaluator
+from tests.reference_engine import per_row
 
 EX = Namespace("http://diffpages.test/")
 
@@ -128,7 +130,7 @@ def setups(tmp_path_factory):
                     (
                         f"thread-{count}-{kind}-per-row",
                         store,
-                        ShardedQueryEvaluator(store, use_vectorized=False),
+                        per_row(ShardedQueryEvaluator(store)),
                     )
                 )
                 found.append(

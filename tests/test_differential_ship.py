@@ -20,8 +20,9 @@ to the anchor's row count (the seed/scan boundary), and chains
 re-entered under OPTIONAL / EXISTS, where the initial binding already
 pins a join variable.
 
-Every thread-backend setup also runs with ``use_vectorized=False``
-(labels ending ``-per-row``), so the per-row path answers the same cases.
+Every thread-backend setup also runs on the per-row reference operators
+(:mod:`tests.reference_engine`, labels ending ``-per-row``), so they
+answer the same cases.
 """
 
 import multiprocessing
@@ -40,6 +41,7 @@ from repro.sparql import distjoin
 from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.scatter import ShardedQueryEvaluator
 from repro.store.triplestore import TripleStore
+from tests.reference_engine import naive, per_row
 
 EX = Namespace("http://diffship.test/")
 
@@ -197,7 +199,7 @@ def setups(tmp_path_factory):
                     (
                         f"thread-{count}-{kind}-per-row",
                         store,
-                        ShardedQueryEvaluator(store, use_vectorized=False),
+                        per_row(ShardedQueryEvaluator(store)),
                     )
                 )
                 found.append(
@@ -282,10 +284,10 @@ class TestSeededShip:
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
     def test_unplanned_evaluator_matches(self, reference, name):
-        # use_planner=False seeds through per-key re-entry instead of one
-        # planned pipeline over all seeds.
+        # The naive evaluator seeds through nested per-key lookups in
+        # constant-count order instead of the planned kernel pipeline.
         store = ShardedTripleStore(num_shards=2, triples=_triples())
-        evaluator = ShardedQueryEvaluator(store, use_planner=False)
+        evaluator = naive(ShardedQueryEvaluator(store))
         query = QUERIES[name]
         assert _multiset(evaluator.evaluate(query)) == _multiset(reference.evaluate(query))
 

@@ -1,9 +1,9 @@
-"""Differential fuzzing: vectorized kernels vs the scalar reference.
+"""Differential fuzzing: vectorized kernels vs the per-row reference.
 
 For hypothesis-generated datasets, every query family must produce the
 same solution multiset whether the group is evaluated by the block
-kernels or by the scalar per-row operators — across every backend the
-kernels claim to support:
+kernels or by the per-row reference operators — across every backend
+the kernels run on:
 
 * the warm single store,
 * a cold mmap-reopened snapshot of it,
@@ -11,7 +11,8 @@ kernels claim to support:
 * the process-backed scatter executor (whose workers build their own
   vectorized evaluators over the per-shard snapshots).
 
-The reference is always ``QueryEvaluator(..., use_vectorized=False)``.
+The reference is always the per-row operators of
+:mod:`tests.reference_engine` on a warm single store.
 LIMIT pages may legitimately differ in *which* rows they pick, so they
 assert size + subset-of-universe instead of identity (ASK and LIMIT also
 exercise the early-exit path through the block stream).
@@ -48,6 +49,7 @@ from repro.sparql.bindings import Variable
 from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.scatter import ShardedQueryEvaluator
 from repro.store.triplestore import TripleStore
+from tests.reference_engine import per_row_evaluator
 
 EX = Namespace("http://diffvec.test/")
 
@@ -62,7 +64,7 @@ SHARD_COUNTS = (1, 2, 8)
 
 # Deliberately tiny vocabulary so random BGPs actually join; repeated
 # variables within one pattern (e.g. ?a ?a ?b) are drawn too, exercising
-# the kernels' refusal path.
+# the kernels' equality masks.
 _iris = st.sampled_from([EX[f"n{index}"] for index in range(6)])
 _literals = st.sampled_from(
     [Literal("v0"), Literal("v1", language="en"), Literal(7)]
@@ -101,8 +103,8 @@ def _select(*elements, **modifiers) -> SelectQuery:
 
 
 def _vectorized_evaluators(triples, stack: ExitStack):
-    """``(scalar reference, [(label, vectorized evaluator), ...])``."""
-    reference = QueryEvaluator(TripleStore(triples=triples), use_vectorized=False)
+    """``(per-row reference, [(label, vectorized evaluator), ...])``."""
+    reference = per_row_evaluator(TripleStore(triples=triples))
     warm = TripleStore(triples=triples)
     evaluators = [("warm", QueryEvaluator(warm))]
     # Entered first, so it is removed after the executor has closed.
@@ -245,7 +247,7 @@ def _without_finish(evaluator, query):
     """``query`` on the per-row path: the same kernels emit rows that are
     projected, deduplicated and paged one at a time."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "plan_blocks", lambda evaluator, plan: None)
+        patch.setattr(QueryEvaluator, "_columnar_plan", lambda self, query: None)
         return evaluator.evaluate(query)
 
 
@@ -288,7 +290,7 @@ class TestColumnarFinish:
     def test_finish_matches_per_row_order(
         self, triples, bgp, projection, distinct, offset, limit
     ):
-        reference = QueryEvaluator(TripleStore(triples=triples), use_vectorized=False)
+        reference = per_row_evaluator(TripleStore(triples=triples))
         with tempfile.TemporaryDirectory(prefix="diffvec-finish-") as tmp:
             stores = _finish_stores(triples, Path(tmp))
             _assert_finish_agrees(
@@ -319,7 +321,7 @@ class TestColumnarFinish:
             "probe": [TriplePatternNode(s, ex.p, o), TriplePatternNode(o, ex.q, v)],
             "cross": [TriplePatternNode(s, ex.q, v), TriplePatternNode(t, ex.tag, g)],
         }
-        reference = QueryEvaluator(TripleStore(triples=triples), use_vectorized=False)
+        reference = per_row_evaluator(TripleStore(triples=triples))
         stores = _finish_stores(triples, tmp_path)
         finished = []
         real_finish = kernels.finish
@@ -372,6 +374,6 @@ class TestColumnarFinish:
             [TriplePatternNode(s, EX["p"], o), TriplePatternNode(o, EX["p"], Variable("x"))],
             None,
         )
-        reference = QueryEvaluator(TripleStore(triples=triples), use_vectorized=False)
+        reference = per_row_evaluator(TripleStore(triples=triples))
         assert _multiset(evaluator.evaluate(chain)) == _multiset(reference.evaluate(chain))
         assert evaluator.last_mode() in ("ship", "global")

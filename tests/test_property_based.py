@@ -26,6 +26,7 @@ from repro.sparql.bindings import Binding, Variable
 from repro.sparql.evaluate import QueryEvaluator
 from repro.store.dictionary import TermDictionary
 from repro.store.triplestore import TripleStore
+from tests.reference_engine import naive_evaluator
 
 EX = Namespace("http://prop.test/")
 
@@ -153,7 +154,7 @@ class TestPlannerEquivalence:
             select_all=True,
         )
         planned = QueryEvaluator(store).evaluate(query)
-        naive = QueryEvaluator(store, use_planner=False).evaluate(query)
+        naive = naive_evaluator(store).evaluate(query)
         assert _solution_multiset(planned) == _solution_multiset(naive)
 
     @given(
@@ -170,7 +171,7 @@ class TestPlannerEquivalence:
             select_all=True,
         )
         planned = QueryEvaluator(store).evaluate(query)
-        naive = QueryEvaluator(store, use_planner=False).evaluate(query)
+        naive = naive_evaluator(store).evaluate(query)
         assert _solution_multiset(planned) == _solution_multiset(naive)
 
     @given(_plan_triples, st.lists(_plan_patterns, min_size=2, max_size=3))
@@ -184,7 +185,7 @@ class TestPlannerEquivalence:
             distinct=True,
         )
         planned = QueryEvaluator(store).evaluate(query)
-        naive = QueryEvaluator(store, use_planner=False).evaluate(query)
+        naive = naive_evaluator(store).evaluate(query)
         assert _solution_multiset(planned) == _solution_multiset(naive)
 
 

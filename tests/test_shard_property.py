@@ -28,6 +28,7 @@ from repro.sparql.bindings import Variable
 from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.scatter import ShardedQueryEvaluator
 from repro.store.triplestore import TripleStore
+from tests.reference_engine import naive_evaluator
 
 EX = Namespace("http://shardprop.test/")
 
@@ -60,7 +61,7 @@ def _evaluators(triples):
     single = TripleStore(triples=triples)
     references = (
         QueryEvaluator(single),
-        QueryEvaluator(single, use_planner=False),
+        naive_evaluator(single),
     )
     sharded = tuple(
         ShardedQueryEvaluator(ShardedTripleStore(num_shards=count, triples=triples))

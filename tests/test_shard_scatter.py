@@ -17,6 +17,7 @@ from repro.sparql.scatter import (
 )
 from repro.sparql.bindings import Variable
 from repro.store import TripleStore
+from tests.reference_engine import naive_evaluator
 
 EX = Namespace("http://scatter.test/")
 
@@ -123,7 +124,7 @@ class TestScatterEquivalence:
         single, _ = stores
         sharded_result = evaluator.evaluate(query)
         planned = QueryEvaluator(single).evaluate(query)
-        naive = QueryEvaluator(single, use_planner=False).evaluate(query)
+        naive = naive_evaluator(single).evaluate(query)
         if query.startswith("ASK"):
             assert bool(sharded_result) == bool(planned) == bool(naive)
         else:

@@ -10,6 +10,7 @@ from repro.sparql.results import AskResult, ResultSet
 from repro.store.triplestore import TripleStore
 
 from tests.conftest import EX, EX2
+from tests.reference_engine import per_row_evaluator
 
 PREFIX = "PREFIX ex: <http://example.org/kb1/> PREFIX ex2: <http://example.org/kb2/> "
 
@@ -267,7 +268,7 @@ class TestOrderByLimitTopK:
         )
         for evaluator in (
             QueryEvaluator(world.store),
-            QueryEvaluator(world.store, use_vectorized=False),
+            per_row_evaluator(world.store),
         ):
             full = evaluator.evaluate(parse_query(base))
             page = evaluator.evaluate(parse_query(base + " OFFSET 7 LIMIT 25"))

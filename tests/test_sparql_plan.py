@@ -9,6 +9,7 @@ from repro.sparql.bindings import Variable
 from repro.sparql.evaluate import QueryEvaluator, evaluate_query
 from repro.sparql.plan import CardinalityEstimator, plan_bgp
 from repro.store.triplestore import TripleStore
+from tests.reference_engine import naive_evaluator
 
 EX = Namespace("http://plan.test/")
 
@@ -183,7 +184,7 @@ class TestEvaluatorIntegration:
         )
         planner_rows = sorted(map(str, QueryEvaluator(store).evaluate(query).column("s")))
         naive_rows = sorted(
-            map(str, QueryEvaluator(store, use_planner=False).evaluate(query).column("s"))
+            map(str, naive_evaluator(store).evaluate(query).column("s"))
         )
         assert planner_rows == naive_rows
         assert planner_rows == [str(EX.e0)]
@@ -195,7 +196,7 @@ class TestEvaluatorIntegration:
             f"?s <{EX.mid.value}> ?y . ?s <{EX.tiny.value}> ?t }}"
         )
         planned = QueryEvaluator(store).evaluate(query)
-        naive = QueryEvaluator(store, use_planner=False).evaluate(query)
+        naive = naive_evaluator(store).evaluate(query)
         assert sorted(map(repr, planned)) == sorted(map(repr, naive))
         assert len(planned) == 8
 
@@ -206,7 +207,7 @@ class TestEvaluatorIntegration:
             f"?a <{EX.mid.value}> ?m }}"
         )
         planned = QueryEvaluator(store).evaluate(query)
-        naive = QueryEvaluator(store, use_planner=False).evaluate(query)
+        naive = naive_evaluator(store).evaluate(query)
         assert sorted(map(repr, planned)) == sorted(map(repr, naive))
         assert len(planned) == 4 * 20
 
@@ -240,7 +241,7 @@ class TestEvaluatorIntegration:
             f"?z <{EX.p3.value}> ?o }}"
         )
         planned = QueryEvaluator(store).evaluate(query)
-        naive = QueryEvaluator(store, use_planner=False).evaluate(query)
+        naive = naive_evaluator(store).evaluate(query)
         assert sorted(map(repr, planned)) == sorted(map(repr, naive))
 
     def test_values_query_with_planner_matches_naive(self):
@@ -250,7 +251,7 @@ class TestEvaluatorIntegration:
             f"?s <{EX.big.value}> ?x . ?s <{EX.mid.value}> ?y }}"
         )
         planned = QueryEvaluator(store).evaluate(query)
-        naive = QueryEvaluator(store, use_planner=False).evaluate(query)
+        naive = naive_evaluator(store).evaluate(query)
         assert sorted(map(repr, planned)) == sorted(map(repr, naive))
         assert len(planned) == 4
 

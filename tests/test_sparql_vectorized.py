@@ -1,10 +1,9 @@
 """Unit tests for the vectorized join kernels.
 
-The kernels must (a) actually engage on the plans they claim to cover,
-(b) produce the same solution multisets as the scalar operators on every
-shape they do cover, (c) step aside — silently and correctly — on the
-shapes they don't (repeated in-pattern variables, VALUES-fed groups,
-missing NumPy), and (d) preserve the streaming contract so ASK and LIMIT
+The kernels must (a) actually engage on every plan, (b) produce the same
+solution multisets as the per-row reference operators on every shape,
+including repeated in-pattern variables and groups that arrive with
+bindings, and (c) preserve the streaming contract so ASK and LIMIT
 still short-circuit.
 """
 
@@ -16,13 +15,14 @@ from repro.rdf.namespace import Namespace
 from repro.rdf.triple import Triple
 from repro.sparql import kernels
 from repro.sparql.ast import TriplePatternNode
-from repro.sparql.bindings import Variable
+from repro.sparql.bindings import IdBinding, Variable
 from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import plan_bgp
 from repro.sparql.scatter import ShardedQueryEvaluator
 from repro.shard.sharded_store import ShardedTripleStore
 from repro.store.triplestore import TripleStore
+from tests.reference_engine import per_row_evaluator
 
 EX = Namespace("http://vec.test/")
 
@@ -54,7 +54,7 @@ QUERIES = [
     # Constant subject feeding the chain.
     "SELECT * WHERE { <http://vec.test/e0> <http://vec.test/p0> ?b . "
     "?b <http://vec.test/p1> ?c }",
-    # Repeated variable inside one pattern: not vectorizable, must fall back.
+    # Repeated variable inside one pattern: an equality mask.
     "SELECT * WHERE { ?a <http://vec.test/p0> ?a . ?a <http://vec.test/p1> ?c }",
     # Unknown constant: provably empty either way.
     "SELECT * WHERE { ?a <http://vec.test/nope> ?b . ?b <http://vec.test/p1> ?c }",
@@ -70,7 +70,7 @@ class TestVectorizedAgainstScalar:
         store = chain_store()
         query = parse_query(query_text)
         vectorized = _multiset(QueryEvaluator(store).evaluate(query))
-        scalar = _multiset(QueryEvaluator(store, use_vectorized=False).evaluate(query))
+        scalar = _multiset(per_row_evaluator(store).evaluate(query))
         assert vectorized == scalar
 
     @pytest.mark.parametrize("query_text", QUERIES)
@@ -80,7 +80,7 @@ class TestVectorizedAgainstScalar:
         cold = TripleStore.open(tmp_path / "store.snap")
         query = parse_query(query_text)
         vectorized = _multiset(QueryEvaluator(cold).evaluate(query))
-        scalar = _multiset(QueryEvaluator(store, use_vectorized=False).evaluate(query))
+        scalar = _multiset(per_row_evaluator(store).evaluate(query))
         assert vectorized == scalar
 
     @pytest.mark.parametrize("shards", [1, 2, 8])
@@ -92,7 +92,7 @@ class TestVectorizedAgainstScalar:
         query = parse_query(query_text)
         vectorized = _multiset(ShardedQueryEvaluator(sharded).evaluate(query))
         scalar = _multiset(
-            QueryEvaluator(reference, use_vectorized=False).evaluate(query)
+            per_row_evaluator(reference).evaluate(query)
         )
         assert vectorized == scalar
 
@@ -106,29 +106,16 @@ class TestEngagementAndFallback:
             TriplePatternNode(Variable("b"), EX.p1, Variable("c")),
         ]
         plan = plan_bgp(store, patterns)
-        stream = kernels.execute(evaluator, plan)
-        assert stream is not None
+        stream = kernels.execute(evaluator, plan, [IdBinding.EMPTY])
         assert sum(1 for _ in stream) > 0
-
-    def test_repeated_variable_pattern_not_vectorized(self):
-        store = chain_store()
-        patterns = [TriplePatternNode(Variable("a"), EX.p0, Variable("a"))]
-        plan = plan_bgp(store, patterns)
-        assert kernels._vectorizable_prefix(plan.steps) == 0
-
-    def test_use_vectorized_flag_disables_kernels(self):
-        evaluator = QueryEvaluator(chain_store(), use_vectorized=False)
-        assert evaluator._use_vectorized is False
 
     def test_kernels_engage_by_default(self, monkeypatch):
         # REPRO_NO_NUMPY is retired: setting it no longer turns kernels off.
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         store = chain_store()
-        evaluator = QueryEvaluator(store)
-        assert evaluator._use_vectorized is True
         query = parse_query(QUERIES[0])
-        scalar = _multiset(QueryEvaluator(store, use_vectorized=False).evaluate(query))
-        assert _multiset(evaluator.evaluate(query)) == scalar
+        scalar = _multiset(per_row_evaluator(store).evaluate(query))
+        assert _multiset(QueryEvaluator(store).evaluate(query)) == scalar
 
     def test_plan_records_build_estimates(self):
         store = chain_store()
@@ -148,7 +135,7 @@ class TestStreamingShortCircuit:
             "ASK { ?a <http://vec.test/p0> ?b . ?b <http://vec.test/p1> ?c }"
         )
         assert bool(QueryEvaluator(store).evaluate(query))
-        assert bool(QueryEvaluator(store, use_vectorized=False).evaluate(query))
+        assert bool(per_row_evaluator(store).evaluate(query))
 
     def test_limit_pages_are_subsets(self):
         store = chain_store(2000)
@@ -158,7 +145,7 @@ class TestStreamingShortCircuit:
         paged = parse_query(
             "SELECT * WHERE { ?a <http://vec.test/p0> ?b . ?b <http://vec.test/p1> ?c } LIMIT 5"
         )
-        universe = _multiset(QueryEvaluator(store, use_vectorized=False).evaluate(full))
+        universe = _multiset(per_row_evaluator(store).evaluate(full))
         page = _multiset(QueryEvaluator(store).evaluate(paged))
         assert sum(page.values()) == min(5, sum(universe.values()))
         for row, count in page.items():

@@ -4,10 +4,11 @@ Unordered ``LIMIT/OFFSET`` sample pages decide which rows the aligner
 sees, so any change to the order in which the engine streams rows shows
 up here as different accepted rules, P/F1 or query counts.  The pin is
 the one ``perfbench/align_bench.py`` checks on every benchmark run; this
-test holds the engine to it on both the block-kernel path and the per-row
-path (every evaluator built with ``use_vectorized=False``).  With the
-kernels on, every non-aggregate SELECT of the run must also finish in ID
-columns: a silent decline would keep the pin but lose the speed.
+test holds the block kernels to it, and the per-row reference operators
+too (:func:`tests.reference_engine.patch_per_row` switches every
+evaluator the run builds).  On the kernels, every non-aggregate SELECT
+of the run must also finish in ID columns: a silent decline would keep
+the pin but lose the speed.
 """
 
 import pytest
@@ -22,8 +23,8 @@ from perfbench.align_bench import (
 )
 from repro.evaluation.experiment import run_table1_experiment
 from repro.obs import metrics as obs_metrics
-from repro.sparql.evaluate import QueryEvaluator
 from repro.synthetic.generator import generate_world
+from tests.reference_engine import patch_per_row
 
 #: Non-aggregate SELECTs the seed-2016 Table 1 run sends.
 NON_AGGREGATE_SELECTS = 2395
@@ -32,9 +33,7 @@ NON_AGGREGATE_SELECTS = 2395
 @pytest.mark.parametrize("per_row", [False, True], ids=["default", "per-row"])
 def test_seed_2016_table1_is_pinned(monkeypatch, per_row):
     if per_row:
-        # Flip the constructor default (use_planner, use_vectorized), so
-        # every evaluator the run builds keeps the per-row operators.
-        monkeypatch.setattr(QueryEvaluator.__init__, "__defaults__", (True, False))
+        patch_per_row(monkeypatch)
     world = generate_world(world_spec(PINNED_SEED, tiny=False))
     registry = obs_metrics.registry()
     before = registry.counters_with_prefix("kernel.")

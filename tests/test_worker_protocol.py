@@ -317,22 +317,6 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="shards"):
             ShardedQueryEvaluator(other, backend="process", executor=executor)
 
-    @pytest.mark.parametrize(
-        "flags", [{"use_vectorized": False}, {"use_planner": False}]
-    )
-    def test_process_backend_rejects_evaluator_flags(self, served, flags):
-        # Workers build their evaluators with the defaults, so a flag the
-        # process backend cannot forward must fail loudly, not be ignored.
-        store, executor = served
-        with pytest.raises(ValueError, match="backend='thread'"):
-            ShardedQueryEvaluator(
-                store, backend="process", executor=executor, **flags
-            )
-        # The thread backend honours both flags.
-        assert ShardedQueryEvaluator(store, **flags).evaluate(
-            "SELECT ?s WHERE { ?s ?p ?o } LIMIT 3"
-        )
-
     def test_pool_size_validation(self, tmp_path):
         store = ShardedTripleStore(num_shards=2, triples=_triples(50))
         store.save(tmp_path / "snap")
